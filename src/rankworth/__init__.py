@@ -12,8 +12,6 @@ from .fit import (
     ModelFit,
     convergence_check,
     fit,
-    iterative_scaling_step,
-    quasi_newton_fit,
     steffensen_accelerate,
 )
 from .inference import (
@@ -26,20 +24,7 @@ from .inference import (
     summarize,
     vcov,
 )
-from .likelihood import (
-    ChoiceEvent,
-    EventSet,
-    Parameters,
-    SufficientStats,
-    choice_denominator,
-    choice_events,
-    enumerate_tied_rankings,
-    expected_sufficient_stats,
-    log_likelihood,
-    observed_sufficient_stats,
-    ranking_log_probability,
-    set_strength,
-)
+from .likelihood import EventSet, Parameters
 from .network import (
     GHOST_ITEM,
     AdjacencyMatrix,
@@ -85,14 +70,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError", "ModelError",
-    "FitConfig", "ModelFit", "fit", "quasi_newton_fit",
-    "iterative_scaling_step", "steffensen_accelerate", "convergence_check",
+    "FitConfig", "ModelFit", "fit", "steffensen_accelerate", "convergence_check",
     "ModelMetrics", "QuasiVariances", "Summary",
     "comparison_intervals", "model_metrics", "quasi_variances", "summarize", "vcov",
-    "ChoiceEvent", "EventSet", "Parameters", "SufficientStats",
-    "choice_denominator", "choice_events", "enumerate_tied_rankings",
-    "expected_sufficient_stats", "log_likelihood", "observed_sufficient_stats",
-    "ranking_log_probability", "set_strength",
+    "EventSet", "Parameters",
     "GHOST_ITEM", "AdjacencyMatrix", "ConnectivityReport",
     "adjacency", "augment_with_pseudo_rankings", "connectivity",
     "GroupedRankings", "OrderingsTable", "RankingsTable",

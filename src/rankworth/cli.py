@@ -2,7 +2,7 @@
 
 Subcommands: ``convert`` (strict-orders or CSV to canonical rankings CSV),
 ``fit``, ``summary``, ``qv`` (quasi-variances and comparison intervals),
-``connectivity``, ``tree``, and ``bench``.  Human-readable tables go to
+``connectivity`` and ``tree``.  Human-readable tables go to
 standard output (4 decimal places); machine outputs go to files at full
 precision; warnings go to standard error.  Exit codes: 0 success, 2 input
 error, 3 model error.
@@ -11,15 +11,13 @@ error, 3 model error.
 from __future__ import annotations
 
 import functools
-import statistics
 import sys
-import time
 import warnings
 
 import click
 import numpy as np
 
-from . import inference, io, tree as tree_mod
+from . import __version__, inference, io, tree as tree_mod
 from .errors import DataError, ModelError
 from .fit import FitConfig, fit as fit_model
 from .network import adjacency, connectivity as connectivity_of
@@ -61,8 +59,7 @@ def _load_table(path: str, weights_col: str | None = None) -> RankingsTable:
         orderings, freqs = io.read_preflib_soc(path)
         items = sorted({name for row in orderings.rows for slot in row for name in slot})
         return from_orderings(orderings, items, weights=freqs)
-    return io.read_rank_csv(path) if weights_col is None \
-        else io.read_rank_csv_with(path, weights_col)
+    return io.read_rank_csv(path, weights_col)
 
 
 def _fit_options(func):
@@ -97,7 +94,7 @@ def _parse_ref(ref: str | None, items):
 
 
 @click.group()
-@click.version_option()
+@click.version_option(version=__version__, prog_name="rankworth")
 def main():
     """Worth models for rankings with ties: fitting, inference, trees."""
 
@@ -257,7 +254,7 @@ def tree_cmd(data, covariates_path, minsize, maxdepth, alpha,
              npseudo, method, maxit, tol, json_out, plot_csv):
     """Grow a partition tree; DATA needs a 'group' column mapping each
     ranking to a covariate row."""
-    table, groups = io.read_rank_csv_grouped(data)
+    table, groups = io._parse_rank_csv(data)
     if groups is None:
         groups = np.arange(1, table.n_rows + 1)
     grouped = group_rankings(table, groups)
@@ -272,28 +269,6 @@ def tree_cmd(data, covariates_path, minsize, maxdepth, alpha,
         io.write_model_json(result, json_out)
     if plot_csv:
         tree_mod.write_tree_plot_csv(result, plot_csv)
-
-
-@main.command()
-@click.argument("data")
-@_fit_options
-@click.option("--repeats", default=5, show_default=True)
-@click.option("--weights-col", default=None)
-@_handle_errors
-def bench(data, npseudo, method, maxit, tol, repeats, weights_col):
-    """Time the fit: one warmup then the median of --repeats runs."""
-    table = _load_table(data, weights_col)
-    config = _config(npseudo, method, maxit, tol)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fit_model(table, config)
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fit_model(table, config)
-            times.append(time.perf_counter() - start)
-    click.echo(f"rankings: {table.n_rows}  items: {table.n_items}")
-    click.echo(f"median fit time over {repeats} runs: {statistics.median(times):.3f} s")
 
 
 if __name__ == "__main__":

@@ -26,12 +26,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import DataError, ModelError
-from .likelihood import (
-    EventSet,
-    Parameters,
-    SufficientStats,
-    expected_sufficient_stats,
-)
+from .likelihood import EventSet, Parameters
 from .network import adjacency, augment_with_pseudo_rankings, connectivity
 from .rankings import RankingsTable
 
@@ -39,8 +34,6 @@ __all__ = [
     "FitConfig",
     "ModelFit",
     "fit",
-    "quasi_newton_fit",
-    "iterative_scaling_step",
     "steffensen_accelerate",
     "convergence_check",
 ]
@@ -100,7 +93,8 @@ class ModelFit:
     (possibly ghost-augmented) table, normalized so the worths sum to one,
     plus log tie parameters.  ``log_likelihood`` is evaluated on the data
     rows only.  The covariance matrix is computed lazily by the inference
-    module via the retained event structure.
+    module via the retained event structure; a fit read back from JSON has
+    ``events=None`` and must be refitted for inference.
     """
 
     params: Parameters
@@ -113,7 +107,7 @@ class ModelFit:
     method: str
     config: FitConfig
     df_outcomes: float
-    events: EventSet = field(repr=False)
+    events: EventSet | None = field(default=None, repr=False)
 
     @property
     def n_real_items(self) -> int:
@@ -188,9 +182,7 @@ def _normalize_worth(theta: np.ndarray, n_items: int) -> np.ndarray:
 def convergence_check(obs, exp, tol: float) -> bool:
     """True iff max_i |obs_i - exp_i| / max(1, |obs_i|) <= tol across all
     item and tie statistics."""
-    o = obs.vector() if isinstance(obs, SufficientStats) else np.asarray(obs)
-    e = exp.vector() if isinstance(exp, SufficientStats) else np.asarray(exp)
-    return bool(_discrepancy(o, e) <= tol)
+    return bool(_discrepancy(np.asarray(obs), np.asarray(exp)) <= tol)
 
 
 def _discrepancy(obs: np.ndarray, exp: np.ndarray) -> float:
@@ -208,19 +200,6 @@ def steffensen_accelerate(x_t: np.ndarray, x_t1: np.ndarray, x_t2: np.ndarray) -
     safe = np.abs(d2) > 1e-14 * np.maximum(1.0, np.abs(x_t2))
     out[safe] = x_t[safe] - d1[safe] ** 2 / d2[safe]
     return out
-
-
-def iterative_scaling_step(params: Parameters, obs: SufficientStats,
-                           table: RankingsTable) -> Parameters:
-    """One multiplicative update alpha_i *= obs_i/exp_i, delta_n *= obs_n/exp_n
-    (expectations at the current parameters), then worth renormalization.
-
-    Raises:
-        ModelError: an expected statistic is zero where the observed one is
-            positive (structural non-identifiability).
-    """
-    exp = expected_sufficient_stats(table, params)
-    return _scaling_update(params, obs.vector(), exp.vector())
 
 
 def _scaling_update(params: Parameters, obs: np.ndarray, exp: np.ndarray) -> Parameters:
@@ -402,13 +381,3 @@ def fit(table: RankingsTable, config: FitConfig | None = None,
         df_outcomes=events.df_outcomes(),
         events=events,
     )
-
-
-def quasi_newton_fit(table: RankingsTable, config: FitConfig | None = None,
-                     **overrides) -> ModelFit:
-    """Fit by BFGS ascent of the log-likelihood (see :func:`fit`)."""
-    if config is None:
-        config = FitConfig(method="quasi_newton")
-    elif config.method == "iterative_scaling":
-        config = replace(config, method="quasi_newton")
-    return fit(table, config, **overrides)

@@ -49,6 +49,10 @@ def _anchored_covariance(fit: ModelFit) -> np.ndarray:
     if cached is not None:
         return cached
     events = fit.events
+    if events is None:
+        raise ModelError(
+            "this fit carries no event structure (it was read from a model "
+            "file); refit the data to compute standard errors")
     info = events.information(fit.params.theta(), events.w_total)
     keep = np.arange(1, info.shape[0])
     sub = info[np.ix_(keep, keep)]

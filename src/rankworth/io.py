@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError
 from .fit import FitConfig, ModelFit
-from .likelihood import EventSet, Parameters
+from .likelihood import Parameters
 from .rankings import OrderingsTable, RankingsTable, from_rank_matrix
 
 __all__ = [
@@ -149,20 +149,24 @@ def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _parse_rank_table(header, rows, weights_col: str | None,
-                      group_col: str | None):
-    special = {}
-    if weights_col is not None:
-        if weights_col not in header:
-            raise DataError(f"weight column {weights_col!r} not found")
-        special[header.index(weights_col)] = "weight"
-    if group_col is not None and group_col in header:
-        special[header.index(group_col)] = "group"
+def _parse_rank_csv(path, weights_col: str | None = None):
+    """Parse a rankings CSV once into (table, group ids or None).
+
+    Every column is an item except the weight column (``weights_col``, or
+    a column named "weight" when none is named) and a column named
+    "group", which holds integer group ids.
+    """
+    header, rows = _read_csv_rows(path)
+    if weights_col is None:
+        weights_col = "weight" if "weight" in header else None
+    elif weights_col not in header:
+        raise DataError(f"weight column {weights_col!r} not found")
+    special = {header.index(name): kind
+               for name, kind in ((weights_col, "weight"), ("group", "group"))
+               if name in header}
     item_cols = [k for k in range(len(header)) if k not in special]
-    items = [header[k] for k in item_cols]
     matrix = []
-    weights = [] if weights_col is not None else None
-    groups = [] if (group_col is not None and group_col in header) else None
+    cells = {kind: [] for kind in special.values()}
     for i, row in enumerate(rows):
         try:
             matrix.append([int(row[k]) for k in item_cols])
@@ -170,44 +174,21 @@ def _parse_rank_table(header, rows, weights_col: str | None,
             raise DataError(f"non-integer rank code in row {i + 1}") from exc
         for k, kind in special.items():
             try:
-                if kind == "weight":
-                    weights.append(float(row[k]))
-                else:
-                    groups.append(int(row[k]))
+                cells[kind].append(float(row[k]) if kind == "weight" else int(row[k]))
             except ValueError as exc:
                 raise DataError(f"non-numeric {kind} in row {i + 1}") from exc
-    table = from_rank_matrix(np.array(matrix), items,
-                             weights=np.array(weights) if weights else None)
-    return table, (np.array(groups, dtype=np.int64) if groups else None)
+    table = from_rank_matrix(np.array(matrix), [header[k] for k in item_cols],
+                             weights=cells.get("weight"))
+    groups = cells.get("group")
+    return table, (np.array(groups, dtype=np.int64) if groups is not None else None)
 
 
-def read_rank_csv(path) -> RankingsTable:
+def read_rank_csv(path, weights_col: str | None = None) -> RankingsTable:
     """Read a rankings table from CSV: header = item names, body = integer
-    rank codes.  Columns named "weight" and "group" (exactly) are treated
-    as row weights and group ids rather than items."""
-    header, rows = _read_csv_rows(path)
-    table, _ = _parse_rank_table(
-        header, rows,
-        weights_col="weight" if "weight" in header else None,
-        group_col="group")
-    return table
-
-
-def read_rank_csv_with(path, weights_col: str) -> RankingsTable:
-    """Like :func:`read_rank_csv` with an explicitly named weight column."""
-    header, rows = _read_csv_rows(path)
-    table, _ = _parse_rank_table(header, rows, weights_col=weights_col,
-                                 group_col="group")
-    return table
-
-
-def read_rank_csv_grouped(path):
-    """Read a rankings CSV returning (table, group ids or None)."""
-    header, rows = _read_csv_rows(path)
-    return _parse_rank_table(
-        header, rows,
-        weights_col="weight" if "weight" in header else None,
-        group_col="group")
+    rank codes.  The column named ``weights_col`` (by default one named
+    "weight", if present) holds row weights, and a column named "group"
+    holds group ids; neither is an item."""
+    return _parse_rank_csv(path, weights_col)[0]
 
 
 def read_covariates_csv(path):
@@ -266,7 +247,7 @@ def _fit_to_dict(fit: ModelFit) -> dict:
         "converged": fit.converged,
         "iterations": fit.iterations,
         "log_likelihood": fit.log_likelihood,
-        "npseudo": fit.npseudo,
+        "npseudo": float(fit.npseudo),
         "method": fit.method,
         "df_outcomes": fit.df_outcomes,
     }
@@ -288,36 +269,28 @@ def write_model_json(obj, path) -> None:
         fh.write("\n")
 
 
-class LoadedFit:
-    """Deserialized model parameters and metadata.
-
-    Carries everything needed for reporting (coefficients, worths,
-    metrics); re-fit from the original data to recover covariance-based
-    inference.
-    """
-
-    def __init__(self, d: dict):
-        self.items = tuple(d["items"])
-        self.has_ghost = bool(d["has_ghost"])
-        self.params = Parameters(np.array(d["log_worth"]), np.array(d["log_tie"]))
-        self.converged = bool(d["converged"])
-        self.iterations = int(d["iterations"])
-        self.log_likelihood = float(d["log_likelihood"])
-        self.npseudo = float(d["npseudo"])
-        self.method = d["method"]
-        self.df_outcomes = float(d["df_outcomes"])
-
-    n_real_items = property(lambda self: len(self.items))
-    max_tie_order = property(lambda self: self.params.max_tie_order)
-    real_log_worth = ModelFit.real_log_worth
-    worth = ModelFit.worth
-    _ref_weights = ModelFit._ref_weights
-    coef = ModelFit.coef
-    n_free_params = ModelFit.n_free_params
+def _fit_from_dict(d: dict) -> ModelFit:
+    """Inverse of :func:`_fit_to_dict`; the fit carries no event structure."""
+    npseudo = float(d["npseudo"])
+    return ModelFit(
+        params=Parameters(np.array(d["log_worth"]), np.array(d["log_tie"])),
+        items=tuple(d["items"]),
+        has_ghost=bool(d["has_ghost"]),
+        converged=bool(d["converged"]),
+        iterations=int(d["iterations"]),
+        log_likelihood=float(d["log_likelihood"]),
+        npseudo=npseudo,
+        method=d["method"],
+        config=FitConfig(npseudo=npseudo, method=d["method"]),
+        df_outcomes=float(d["df_outcomes"]),
+    )
 
 
 def read_model_json(path):
-    """Read a model JSON file; returns a :class:`LoadedFit` or a tree.
+    """Read a model JSON file; returns a :class:`ModelFit` or a tree.
+
+    A fit read back carries ``events=None``: coefficients, worths and
+    metrics work, but standard errors and quasi-variances need a refit.
 
     Raises:
         DataError: unknown kind or version mismatch.
@@ -331,7 +304,7 @@ def read_model_json(path):
         raise DataError(f"unsupported model file version: {version!r}")
     kind = d.get("kind")
     if kind == "fit":
-        return LoadedFit(d)
+        return _fit_from_dict(d)
     if kind == "tree":
         return tree_from_dict(d)
     raise DataError(f"unknown model kind: {kind!r}")

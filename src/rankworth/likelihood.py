@@ -10,11 +10,10 @@ f(S) over every subset S of A with 1 <= |S| <= min(|A|, D).  Stages with a
 single remaining item have probability one and are skipped throughout.
 
 All strengths are evaluated in log space and denominators use log-sum-exp,
-so extreme worth spreads stay finite.  The module provides both readable
-per-row reference functions and a flat, numpy-vectorized event structure
-(:class:`EventSet`) used by the fitting and inference code; the two routes
-are checked against each other and against a brute-force enumeration
-oracle in the test suite.
+so extreme worth spreads stay finite.  :class:`EventSet` is the one
+evaluator of the likelihood, its gradient and its information; fitting,
+inference and trees all run on it.  The test suite checks it against
+plain-arithmetic brute-force oracles.
 """
 
 from __future__ import annotations
@@ -32,16 +31,6 @@ from .rankings import RankingsTable
 __all__ = [
     "MAX_TIE_ORDER",
     "Parameters",
-    "SufficientStats",
-    "ChoiceEvent",
-    "choice_events",
-    "set_strength",
-    "choice_denominator",
-    "ranking_log_probability",
-    "log_likelihood",
-    "observed_sufficient_stats",
-    "expected_sufficient_stats",
-    "enumerate_tied_rankings",
     "EventSet",
 ]
 
@@ -92,203 +81,6 @@ class Parameters:
         """Worths on the probability scale, summing to one."""
         w = np.exp(self.log_worth - self.log_worth.max())
         return w / w.sum()
-
-
-@dataclass(frozen=True)
-class SufficientStats:
-    """Per-item win/tie credit and per-order tie counts (weighted).
-
-    ``item_stat[i]`` is the number of outright wins of item i plus 1/n of
-    the number of n-way ties it belongs to; ``tie_stat[n-2]`` is the number
-    of n-way ties, n = 2..D.
-    """
-
-    item_stat: np.ndarray
-    tie_stat: np.ndarray
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.item_stat, self.tie_stat])
-
-
-@dataclass(frozen=True)
-class ChoiceEvent:
-    """One stage of a ranking: ``chosen`` picked out of ``alternatives``."""
-
-    chosen: tuple[int, ...]
-    alternatives: tuple[int, ...]
-    weight: float
-
-
-def _row_levels(row: np.ndarray) -> list[np.ndarray]:
-    """Item index groups per rank level, best first."""
-    ranked = row > 0
-    levels = np.unique(row[ranked])
-    return [np.flatnonzero(row == lv) for lv in levels]
-
-
-def choice_events(table: RankingsTable, max_tie_order: int | None = None):
-    """Yield the :class:`ChoiceEvent` sequence of a table, skipping NA and
-    zero-weight rows and single-item final stages.
-
-    Raises:
-        DataError: a tie group exceeds ``max_tie_order`` (when given).
-    """
-    for i in range(table.n_rows):
-        if table.na_mask[i] or table.weights[i] == 0:
-            continue
-        groups = _row_levels(table.ranks[i])
-        if max_tie_order is not None:
-            worst = max((len(g) for g in groups), default=1)
-            if worst > max_tie_order:
-                raise DataError(
-                    f"row {i} has a tie of order {worst}, above the limit {max_tie_order}")
-        remaining = [j for g in groups for j in g]
-        pos = 0
-        for g in groups:
-            alts = remaining[pos:]
-            pos += len(g)
-            if len(alts) < 2:
-                break
-            yield ChoiceEvent(tuple(int(x) for x in g),
-                              tuple(int(x) for x in alts),
-                              float(table.weights[i]))
-
-
-def set_strength(items, params: Parameters) -> float:
-    """f(S) for an item index set S, computed in log space."""
-    return float(np.exp(_log_set_strength(items, params)))
-
-
-def _log_set_strength(items, params: Parameters) -> float:
-    k = len(items)
-    if k < 1:
-        raise DataError("set must be nonempty")
-    if k > params.max_tie_order:
-        raise DataError(f"tie order {k} exceeds the model maximum {params.max_tie_order}")
-    log_tie = 0.0 if k == 1 else params.log_tie[k - 2]
-    return log_tie + params.log_worth[list(items)].mean()
-
-
-def _log_choice_denominator(alts, params: Parameters) -> float:
-    kmax = min(len(alts), params.max_tie_order)
-    logs = [_log_set_strength(s, params)
-            for k in range(1, kmax + 1)
-            for s in itertools.combinations(alts, k)]
-    logs = np.array(logs)
-    m = logs.max()
-    return float(m + np.log(np.exp(logs - m).sum()))
-
-
-def choice_denominator(alts, params: Parameters) -> float:
-    """Sum of f(S) over all subsets S of ``alts`` with |S| <= min(|A|, D)."""
-    if len(alts) < 1:
-        raise DataError("alternative set must be nonempty")
-    return float(np.exp(_log_choice_denominator(alts, params)))
-
-
-def ranking_log_probability(row, params: Parameters) -> float:
-    """Log probability of one dense rank-code row under the model.
-
-    Raises:
-        DataError: the row ranks fewer than two items or contains a tie
-            group larger than the model's maximum tie order.
-    """
-    row = np.asarray(row)
-    groups = _row_levels(row)
-    if sum(len(g) for g in groups) < 2:
-        raise DataError("row must rank at least two items")
-    remaining = [j for g in groups for j in g]
-    total = 0.0
-    pos = 0
-    for g in groups:
-        alts = remaining[pos:]
-        pos += len(g)
-        if len(alts) < 2:
-            break
-        total += _log_set_strength(g, params) - _log_choice_denominator(alts, params)
-    return total
-
-
-def log_likelihood(table: RankingsTable, params: Parameters) -> float:
-    """Weighted sum of ranking log probabilities over non-NA rows."""
-    total = 0.0
-    for i in range(table.n_rows):
-        if table.na_mask[i] or table.weights[i] == 0:
-            continue
-        total += table.weights[i] * ranking_log_probability(table.ranks[i], params)
-    return total
-
-
-def observed_sufficient_stats(table: RankingsTable, max_tie_order: int) -> SufficientStats:
-    """Weighted win/tie tallies; independent of parameter values."""
-    item_stat = np.zeros(table.n_items)
-    tie_stat = np.zeros(max_tie_order - 1)
-    for ev in choice_events(table, max_tie_order):
-        k = len(ev.chosen)
-        item_stat[list(ev.chosen)] += ev.weight / k
-        if k >= 2:
-            tie_stat[k - 2] += ev.weight
-    return SufficientStats(item_stat, tie_stat)
-
-
-def expected_sufficient_stats(table: RankingsTable, params: Parameters) -> SufficientStats:
-    """Model expectation of the tallies at ``params``."""
-    item_stat = np.zeros(table.n_items)
-    tie_stat = np.zeros(params.max_tie_order - 1)
-    for ev in choice_events(table, params.max_tie_order):
-        kmax = min(len(ev.alternatives), params.max_tie_order)
-        subsets = [s for k in range(1, kmax + 1)
-                   for s in itertools.combinations(ev.alternatives, k)]
-        logs = np.array([_log_set_strength(s, params) for s in subsets])
-        m = logs.max()
-        probs = np.exp(logs - m)
-        probs /= probs.sum()
-        for s, p in zip(subsets, probs):
-            k = len(s)
-            item_stat[list(s)] += ev.weight * p / k
-            if k >= 2:
-                tie_stat[k - 2] += ev.weight * p
-    return SufficientStats(item_stat, tie_stat)
-
-
-def enumerate_tied_rankings(n_items: int, max_tie_order: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All complete tied rankings of ``n_items`` items: ordered set
-    partitions of 0..n_items-1 with block sizes <= ``max_tie_order``.
-
-    Raises:
-        DataError: n_items > 6 (enumeration grows too fast beyond that).
-    """
-    if n_items > 6:
-        raise DataError("enumeration limited to 6 items")
-    if n_items < 1:
-        return []
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(rest: tuple[int, ...], acc: tuple[tuple[int, ...], ...]):
-        if not rest:
-            out.append(acc)
-            return
-        for k in range(1, min(max_tie_order, len(rest)) + 1):
-            for block in itertools.combinations(rest, k):
-                rem = tuple(x for x in rest if x not in block)
-                rec(rem, acc + (block,))
-
-    rec(tuple(range(n_items)), ())
-    return out
-
-
-def ranking_to_row(ranking: tuple[tuple[int, ...], ...], n_items: int) -> np.ndarray:
-    """Dense rank-code row for an ordered set partition."""
-    row = np.zeros(n_items, dtype=np.int64)
-    for level, block in enumerate(ranking, start=1):
-        for i in block:
-            row[i] = level
-    return row
-
-
-# ---------------------------------------------------------------------------
-# Vectorized event structure
-# ---------------------------------------------------------------------------
 
 
 class EventSet:

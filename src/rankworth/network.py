@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DataError
 from .rankings import RankingsTable
@@ -88,56 +89,6 @@ def adjacency(table: RankingsTable) -> AdjacencyMatrix:
     return AdjacencyMatrix(table.items, counts)
 
 
-def _tarjan_scc(adj: np.ndarray) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs as lists of vertex indices."""
-    n = adj.shape[0]
-    succ = [np.flatnonzero(adj[v] > 0).tolist() for v in range(n)]
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                u, _ = work[-1]
-                lowlink[u] = min(lowlink[u], lowlink[v])
-    return sccs
-
-
 def connectivity(adj: AdjacencyMatrix) -> ConnectivityReport:
     """Strongly connected components of the directed graph with an edge
     i -> j wherever counts[i, j] > 0.  Cluster ids are 1-based, ordered by
@@ -145,14 +96,13 @@ def connectivity(adj: AdjacencyMatrix) -> ConnectivityReport:
     counts = adj.counts
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise DataError("adjacency counts must be square")
-    sccs = _tarjan_scc(counts)
-    sccs.sort(key=min)
-    membership = [0] * counts.shape[0]
-    for cid, comp in enumerate(sccs, start=1):
-        for v in comp:
-            membership[v] = cid
-    csize = tuple(len(c) for c in sccs)
-    report = ConnectivityReport(adj.items, tuple(membership), csize, len(sccs))
+    no, labels = connected_components(counts, directed=True, connection="strong")
+    # relabel so that cluster ids follow each cluster's smallest item index
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    membership = np.argsort(np.argsort(first))[inverse] + 1
+    csize = np.bincount(membership)[1:]
+    report = ConnectivityReport(adj.items, tuple(membership.tolist()),
+                                tuple(csize.tolist()), int(no))
     if not report.strongly_connected:
         logger.info("Network of items is not strongly connected")
     return report

@@ -69,7 +69,7 @@ class RankingsTable:
     Attributes:
         items: item names, one per column.
         ranks: (R, J) integer matrix of dense rank codes, 0 = unranked.
-        weights: (R,) non-negative multiplicities, default 1.0 each.
+        weights: (R,) finite non-negative multiplicities, default 1.0 each.
         na_mask: (R,) flags for rows with fewer than two ranked items;
             such rows contribute nothing to any computation.
     """
@@ -83,6 +83,8 @@ class RankingsTable:
         object.__setattr__(self, "ranks", _as_readonly(self.ranks.astype(np.int64)))
         object.__setattr__(self, "weights", _as_readonly(self.weights.astype(np.float64)))
         object.__setattr__(self, "na_mask", _as_readonly(self.na_mask.astype(bool)))
+        if not (np.isfinite(self.weights) & (self.weights >= 0)).all():
+            raise DataError("weights must be finite and non-negative")
 
     @property
     def n_rows(self) -> int:
@@ -118,8 +120,6 @@ class RankingsTable:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (self.n_rows,):
             raise DataError(f"weights must have length {self.n_rows}")
-        if (w < 0).any():
-            raise DataError("weights must be non-negative")
         return RankingsTable(self.items, self.ranks, w, self.na_mask)
 
     def formatted(self, width: int | None = None) -> list[str]:
@@ -141,7 +141,8 @@ def from_rank_matrix(matrix, item_names, weights=None) -> RankingsTable:
 
     Raises:
         DataError: fewer than two items, negative or non-integer entries,
-            or duplicate item names.
+            duplicate item names, or weights that are negative, NaN or
+            infinite.
     """
     items = _validate_items(item_names)
     m = np.asarray(matrix)
@@ -167,8 +168,6 @@ def from_rank_matrix(matrix, item_names, weights=None) -> RankingsTable:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (dense.shape[0],):
             raise DataError("weights length must match the number of rankings")
-        if (w < 0).any():
-            raise DataError("weights must be non-negative")
     return RankingsTable(items, dense, w, na)
 
 

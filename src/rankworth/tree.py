@@ -189,7 +189,7 @@ class PLNode:
     split: Split | None = None
     left: "PLNode | None" = None
     right: "PLNode | None" = None
-    fit_result: object | None = None
+    fit_result: ModelFit | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -592,7 +592,7 @@ def tree_to_dict(tree: PLTree) -> dict:
 
 
 def tree_from_dict(d: dict) -> PLTree:
-    from .io import LoadedFit
+    from .io import _fit_from_dict
 
     def node_from(nd: dict, depth: int) -> PLNode:
         node = PLNode(node_id=nd["node_id"], depth=depth,
@@ -608,7 +608,7 @@ def tree_from_dict(d: dict) -> PLTree:
             node.left = node_from(nd["left"], depth + 1)
             node.right = node_from(nd["right"], depth + 1)
         else:
-            node.fit_result = LoadedFit(nd["fit"])
+            node.fit_result = _fit_from_dict(nd["fit"])
         return node
 
     config = TreeConfig(minsize=d["minsize"], maxdepth=d["maxdepth"],

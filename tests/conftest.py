@@ -104,37 +104,113 @@ def random_params(rng, n_items, max_tie_order):
     return rw.Parameters(lw, lt)
 
 
+def brute_force_strength(block, params):
+    """f(S) = delta_|S| * (product of worths in S)^(1/|S|), plain arithmetic."""
+    k = len(block)
+    prod = 1.0
+    for i in block:
+        prod *= np.exp(params.log_worth[i])
+    tie = 1.0 if k == 1 else np.exp(params.log_tie[k - 2])
+    return tie * prod ** (1.0 / k)
+
+
+def admissible_subsets(alts, max_tie_order):
+    """Every subset S of ``alts`` with 1 <= |S| <= min(|A|, D)."""
+    for k in range(1, min(len(alts), max_tie_order) + 1):
+        yield from itertools.combinations(alts, k)
+
+
 def brute_force_denominator(alts, params):
     """Independent subset enumerator for the stage normalizer."""
-    total = 0.0
-    kmax = min(len(alts), params.max_tie_order)
-    for k in range(1, kmax + 1):
-        for s in itertools.combinations(alts, k):
-            prod = 1.0
-            for i in s:
-                prod *= np.exp(params.log_worth[i])
-            tie = 1.0 if k == 1 else np.exp(params.log_tie[k - 2])
-            total += tie * prod ** (1.0 / k)
-    return total
+    return sum(brute_force_strength(s, params)
+               for s in admissible_subsets(alts, params.max_tie_order))
 
 
-def brute_force_row_probability(row, params):
-    """Stagewise probability computed with plain floating arithmetic."""
+def row_stages(row):
+    """(chosen block, remaining alternatives) for each stage of a rank-code
+    row, best first; a final stage with a single item is skipped."""
     row = np.asarray(row)
-    levels = sorted(set(row[row > 0]))
-    remaining = [i for lv in levels for i in np.flatnonzero(row == lv)]
-    prob = 1.0
+    blocks = [tuple(np.flatnonzero(row == lv)) for lv in sorted(set(row[row > 0]))]
+    remaining = [i for block in blocks for i in block]
     pos = 0
-    for lv in levels:
-        block = np.flatnonzero(row == lv)
+    for block in blocks:
         alts = remaining[pos:]
         pos += len(block)
         if len(alts) < 2:
             break
-        k = len(block)
-        prod = 1.0
-        for i in block:
-            prod *= np.exp(params.log_worth[i])
-        tie = 1.0 if k == 1 else np.exp(params.log_tie[k - 2])
-        prob *= tie * prod ** (1.0 / k) / brute_force_denominator(alts, params)
+        yield block, alts
+
+
+def brute_force_row_probability(row, params):
+    """Stagewise probability computed with plain floating arithmetic."""
+    prob = 1.0
+    for block, alts in row_stages(row):
+        prob *= brute_force_strength(block, params) / brute_force_denominator(alts, params)
     return prob
+
+
+def brute_force_loglik(table, params):
+    """Weighted sum of log row probabilities over the non-NA rows."""
+    return sum(table.weights[i] * np.log(brute_force_row_probability(table.ranks[i], params))
+               for i in range(table.n_rows) if not table.na_mask[i])
+
+
+def brute_force_stats(table, params):
+    """Observed and expected sufficient statistics (item credits, then
+    tie counts): a chosen set S credits 1/|S| to each member and, for
+    |S| >= 2, one |S|-way tie.  The expectation averages that credit over
+    every admissible subset of every stage at its model probability."""
+    j, d = params.n_items, params.max_tie_order
+    obs, exp = np.zeros(j + d - 1), np.zeros(j + d - 1)
+
+    def credit(out, block, amount):
+        for i in block:
+            out[i] += amount / len(block)
+        if len(block) >= 2:
+            out[j + len(block) - 2] += amount
+
+    for r in range(table.n_rows):
+        if table.na_mask[r]:
+            continue
+        w = table.weights[r]
+        for block, alts in row_stages(table.ranks[r]):
+            credit(obs, block, w)
+            den = brute_force_denominator(alts, params)
+            for s in admissible_subsets(alts, d):
+                credit(exp, s, w * brute_force_strength(s, params) / den)
+    return obs, exp
+
+
+def enumerate_tied_rankings(n_items, max_tie_order):
+    """Every complete tied ranking of ``n_items`` items (ordered set
+    partitions with blocks of at most ``max_tie_order`` items), as dense
+    rank-code rows."""
+    rows = []
+
+    def rec(rest, row, level):
+        if not rest:
+            rows.append(row.copy())
+            return
+        for block in admissible_subsets(rest, max_tie_order):
+            row[list(block)] = level
+            rec([i for i in rest if i not in block], row, level + 1)
+        row[rest] = 0
+
+    rec(list(range(n_items)), np.zeros(n_items, dtype=np.int64), 1)
+    return np.array(rows)
+
+
+def engine_loglik(table, params):
+    """Log-likelihood of ``table`` from the :class:`EventSet` engine."""
+    ev = rw.EventSet(table, params.max_tie_order)
+    return ev.loglik(params.theta(), ev.w_data, ev.obs_data)
+
+
+def engine_row_logliks(table, params):
+    """Weighted log-probability of every row from one :class:`EventSet`
+    built with one group per row (0 for NA rows)."""
+    ev = rw.EventSet(table, params.max_tie_order,
+                     group_index=np.arange(1, table.n_rows + 1))
+    theta = params.theta()
+    _, logden = ev._log_denominators(theta)
+    return ev.group_obs @ theta - ev.group_event_weights @ logden

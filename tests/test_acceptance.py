@@ -15,8 +15,6 @@ Two sub-assertions are expected failures with documented root causes:
   printed range.
 """
 
-import itertools
-import math
 import time
 import warnings
 
@@ -34,8 +32,15 @@ from rankworth.datasets import (
     write_sushi_shape_soc,
 )
 from rankworth.errors import DataError
-from rankworth.likelihood import EventSet, ranking_to_row
-from tests.conftest import random_params, random_table, sample_ranking_row
+from rankworth.likelihood import EventSet
+from tests.conftest import (
+    brute_force_row_probability,
+    engine_row_logliks,
+    enumerate_tied_rankings,
+    random_params,
+    random_table,
+    sample_ranking_row,
+)
 
 PUBLISHED_WORTH = np.array([0.1388005, 0.1729985, 0.1617420,
                             0.1653930, 0.1586805, 0.2023855])
@@ -265,17 +270,21 @@ class TestCriterion5RaceSeason:
 
 class TestCriterion6Normalization:
     def test_probabilities_sum_to_one(self):
+        # every complete tied ranking is one row of a table; the engine
+        # gives each row's log-probability from one EventSet per draw
         rng = np.random.default_rng(60)
         for draw in range(100):
             j = int(rng.integers(2, 6))
             d = int(rng.integers(1, 4))
             params = random_params(rng, j, d)
-            total = 0.0
-            for ranking in rw.enumerate_tied_rankings(j, d):
-                row = ranking_to_row(ranking, j)
-                total += math.exp(rw.ranking_log_probability(row, params))
-            assert total == pytest.approx(1.0, abs=1e-10)
-        print("\nACCEPTANCE 6: PASS (100 random draws, J in 2..5, D in 1..3)")
+            rows = enumerate_tied_rankings(j, d)
+            table = rw.from_rank_matrix(rows, [f"i{k}" for k in range(j)])
+            probs = np.exp(engine_row_logliks(table, params))
+            assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+            oracle = [brute_force_row_probability(row, params) for row in rows]
+            assert np.allclose(probs, oracle, rtol=1e-12, atol=0.0)
+        print("\nACCEPTANCE 6: PASS (100 random draws, J in 2..5, D in 1..3, "
+              "engine matches the brute-force oracle)")
 
 
 # -----------------------------------------------------------------------
@@ -290,17 +299,15 @@ class TestCriterion7Derivatives:
         for instance in range(50):
             j = int(rng.integers(3, 6))
             t = random_table(rng, n_items=j, n_rows=8, max_tie=2, partial=True)
-            p = random_params(rng, j, 2)
-            analytic = (rw.observed_sufficient_stats(t, 2).vector()
-                        - rw.expected_sufficient_stats(t, p).vector())
-            theta = p.theta()
+            theta = random_params(rng, j, 2).theta()
+            ev = EventSet(t, 2)
+            analytic = ev.gradient(theta, ev.w_data, ev.obs_data)
             for k in range(len(theta)):
                 up, down = theta.copy(), theta.copy()
                 up[k] += step
                 down[k] -= step
-                fd = (rw.log_likelihood(t, rw.Parameters(up[:j], up[j:]))
-                      - rw.log_likelihood(t, rw.Parameters(down[:j], down[j:]))
-                      ) / (2 * step)
+                fd = (ev.loglik(up, ev.w_data, ev.obs_data)
+                      - ev.loglik(down, ev.w_data, ev.obs_data)) / (2 * step)
                 assert abs(analytic[k] - fd) <= 1e-6 * max(1.0, abs(analytic[k]))
 
     def test_information_against_fd_gradient(self):

@@ -59,6 +59,15 @@ class TestFitCommand:
         result = runner.invoke(main, ["fit", "/nonexistent/file.csv"])
         assert result.exit_code == 2
 
+    def test_weights_col(self, runner, tmp_path):
+        # two items, wins (3, 1) as one weighted row each: worths 0.75, 0.25
+        data = tmp_path / "counts.csv"
+        data.write_text("a,b,count\n1,2,3\n2,1,1\n")
+        result = runner.invoke(main, ["fit", str(data), "--npseudo", "0",
+                                      "--weights-col", "count"])
+        assert result.exit_code == 0
+        assert "0.7500" in result.output and "0.2500" in result.output
+
     def test_soc_input(self, runner):
         result = runner.invoke(main, ["fit", netflix_shape_soc_path(),
                                       "--npseudo", "0"])
@@ -165,12 +174,11 @@ class TestTreeCommand:
         assert out.exists() and plot.exists()
 
 
-class TestBenchCommand:
-    def test_bench_runs(self, runner, data_dir):
-        result = runner.invoke(main, ["bench", str(data_dir / "pudding.csv"),
-                                      "--npseudo", "0", "--repeats", "3"])
+class TestVersion:
+    def test_version_option(self, runner):
+        result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
-        assert "median fit time" in result.output
+        assert result.output == f"rankworth, version {rw.__version__}\n"
 
 
 class TestDeterminism:

@@ -8,9 +8,9 @@ import pytest
 
 import rankworth as rw
 from rankworth.errors import DataError, ModelError
-from rankworth.fit import _discrepancy
+from rankworth.fit import _scaling_update
 from rankworth.likelihood import EventSet
-from tests.conftest import random_table
+from tests.conftest import brute_force_loglik, random_table
 
 
 def quiet_fit(table, **kw):
@@ -28,8 +28,9 @@ def two_item_31():
 class TestIterativeScalingStep:
     def test_fixed_point_unchanged(self, two_item_31):
         params = rw.Parameters(np.log([0.75, 0.25]), np.zeros(0))
-        obs = rw.observed_sufficient_stats(two_item_31, 1)
-        new = rw.iterative_scaling_step(params, obs, two_item_31)
+        ev = EventSet(two_item_31, 1)
+        exp = ev.expected(params.theta(), ev.w_data)
+        new = _scaling_update(params, ev.obs_data, exp)
         assert np.allclose(new.log_worth, params.log_worth, atol=1e-12)
 
     def test_converges_to_binomial_mle(self, two_item_31):
@@ -127,7 +128,7 @@ class TestFit:
     def test_reported_loglik_excludes_pseudo_rows(self, abcd):
         m = quiet_fit(abcd)
         j = m.params.n_items
-        direct = rw.log_likelihood(
+        direct = brute_force_loglik(
             abcd, rw.Parameters(m.params.log_worth[:4], m.params.log_tie))
         # data log-likelihood evaluated over real items only: the ghost
         # never enters data events, so dropping its column is exact
@@ -166,7 +167,6 @@ class TestInvariants:
         for trial in range(4):
             t = random_table(rng, n_items=4, n_rows=14, max_tie=2, partial=True)
             ev = EventSet(t, t.max_tie_order())
-            from rankworth.fit import FitConfig, _scaling_update
             from rankworth.likelihood import Parameters
 
             theta = Parameters.uniform(4, t.max_tie_order()).theta()
@@ -246,7 +246,6 @@ class TestInvariants:
 
     def test_zero_expected_with_positive_observed_raises(self):
         # structurally impossible stats are reported, not silently broken
-        from rankworth.fit import _scaling_update
         from rankworth.likelihood import Parameters
 
         p = Parameters(np.log([0.5, 0.5]), np.zeros(0))

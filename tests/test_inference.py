@@ -9,7 +9,12 @@ import pytest
 import rankworth as rw
 from rankworth.errors import DataError
 from rankworth.likelihood import EventSet
-from tests.conftest import random_table
+from tests.conftest import (
+    admissible_subsets,
+    brute_force_strength,
+    random_table,
+    row_stages,
+)
 
 
 def quiet_fit(table, **kw):
@@ -67,16 +72,17 @@ class TestPoissonTrickOracle:
     @staticmethod
     def _poisson_glm_vcov(table, fitted):
         d = fitted.max_tie_order
-        events = list(rw.choice_events(table, d))
+        events = [(table.weights[r], alts)
+                  for r in range(table.n_rows)
+                  if not table.na_mask[r] and table.weights[r] > 0
+                  for _, alts in row_stages(table.ranks[r])]
         j = table.n_items
         n_params = j + (d - 1)
         rows = []
         mus = []
         n_events = len(events)
-        for e_id, ev in enumerate(events):
-            kmax = min(len(ev.alternatives), d)
-            subs = [s for k in range(1, kmax + 1)
-                    for s in itertools.combinations(ev.alternatives, k)]
+        for e_id, (weight, alts) in enumerate(events):
+            subs = list(admissible_subsets(alts, d))
             logf = []
             xs = []
             for s in subs:
@@ -87,13 +93,13 @@ class TestPoissonTrickOracle:
                 if len(s) >= 2:
                     x[n_events + j + len(s) - 2] = 1.0
                 xs.append(x)
-                logf.append(np.log(rw.set_strength(s, fitted.params)))
+                logf.append(np.log(brute_force_strength(s, fitted.params)))
             logf = np.array(logf)
             p = np.exp(logf - logf.max())
             p /= p.sum()
             for x, prob in zip(xs, p):
                 rows.append(x)
-                mus.append(ev.weight * prob)
+                mus.append(weight * prob)
         x_mat = np.array(rows)
         mu = np.array(mus)
         info = x_mat.T @ (mu[:, None] * x_mat)

@@ -7,8 +7,8 @@ import pytest
 
 import rankworth as rw
 from rankworth.datasets import load_abcd, netflix_shape_soc_path
-from rankworth.errors import DataError
-from rankworth.io import parse_soc
+from rankworth.errors import DataError, ModelError
+from rankworth.io import _parse_rank_csv, parse_soc
 
 
 def quiet_fit(table, **kw):
@@ -101,13 +101,28 @@ class TestRankCsv:
             rw.read_rank_csv(path)
 
     def test_group_column(self, tmp_path):
-        from rankworth.io import read_rank_csv_grouped
-
         path = tmp_path / "grouped.csv"
         path.write_text("a,b,group\n1,2,1\n2,1,1\n1,2,2\n")
-        table, groups = read_rank_csv_grouped(path)
+        table, groups = _parse_rank_csv(path)
         assert table.n_items == 2
         assert groups.tolist() == [1, 1, 2]
+        assert rw.read_rank_csv(path).items == ("a", "b")
+
+    def test_named_weight_column(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("a,b,count,group\n1,2,3,1\n2,1,0.5,2\n")
+        table = rw.read_rank_csv(path, weights_col="count")
+        assert table.items == ("a", "b")
+        assert table.weights.tolist() == [3.0, 0.5]
+        with pytest.raises(DataError, match="weight column 'n' not found"):
+            rw.read_rank_csv(path, weights_col="n")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1"])
+    def test_bad_weight_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "bad_weight.csv"
+        path.write_text(f"a,b,weight\n1,2,1\n2,1,{cell}\n")
+        with pytest.raises(DataError, match="finite and non-negative"):
+            rw.read_rank_csv(path)
 
 
 class TestCovariatesCsv:
@@ -160,6 +175,26 @@ class TestModelJson:
         assert loaded.has_ghost
         assert len(loaded.params.log_worth) == 88
         assert np.array_equal(loaded.params.log_worth, m.params.log_worth)
+
+    def test_rewrite_is_byte_identical(self, pudding, tmp_path):
+        m = quiet_fit(pudding, npseudo=0, maxit=7)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        rw.write_model_json(m, first)
+        loaded = rw.read_model_json(first)
+        assert isinstance(loaded, rw.ModelFit)
+        assert loaded.events is None
+        rw.write_model_json(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_loaded_fit_reports_but_asks_for_refit(self, pudding, tmp_path):
+        m = quiet_fit(pudding, npseudo=0, maxit=7)
+        path = tmp_path / "fit.json"
+        rw.write_model_json(m, path)
+        loaded = rw.read_model_json(path)
+        assert rw.model_metrics(loaded) == rw.model_metrics(m)
+        for call in (rw.summarize, rw.quasi_variances, rw.vcov):
+            with pytest.raises(ModelError, match="refit"):
+                call(loaded)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "v.json"

@@ -1,7 +1,7 @@
-"""Model evaluation: set strengths, stage normalizers, ranking
-probabilities, sufficient statistics, and the enumeration oracle."""
+"""Model evaluation on the :class:`EventSet` engine: set strengths, stage
+normalizers, ranking probabilities and sufficient statistics, checked
+against closed forms and the brute-force oracles in ``conftest``."""
 
-import itertools
 import math
 import warnings
 
@@ -10,33 +10,63 @@ import pytest
 
 import rankworth as rw
 from rankworth.errors import DataError
-from rankworth.likelihood import EventSet, ranking_to_row
+from rankworth.likelihood import EventSet
 from tests.conftest import (
     brute_force_denominator,
+    brute_force_loglik,
     brute_force_row_probability,
+    brute_force_stats,
+    engine_loglik,
+    engine_row_logliks,
+    enumerate_tied_rankings,
     random_params,
     random_table,
 )
 
 
+def one_row(row):
+    return rw.from_rank_matrix([row], [f"i{k}" for k in range(len(row))])
+
+
+def row_log_probability(row, params):
+    return engine_loglik(one_row(row), params)
+
+
+def log_denominator(alts, params):
+    """Engine log normalizer of the first stage of a strict ranking of
+    ``alts``: the log-likelihood under unit weight on that event alone and
+    zero observed statistics is minus its log denominator."""
+    row = np.zeros(params.n_items, dtype=np.int64)
+    row[list(alts)] = np.arange(1, len(alts) + 1)
+    ev = EventSet(one_row(row), params.max_tie_order)
+    first = np.zeros(ev.n_events)
+    first[0] = 1.0
+    return -ev.loglik(params.theta(), first, np.zeros(ev.n_params))
+
+
 class TestSetStrength:
+    # f(S) enters each stage as the numerator of P(S chosen from A)
+
     def test_singleton_is_worth(self):
         p = rw.Parameters(np.log([0.3, 0.7]), np.log([0.5]))
-        assert rw.set_strength([1], p) == pytest.approx(0.7, rel=1e-12)
+        want = 0.7 / (1.0 + 0.5 * math.sqrt(0.3 * 0.7))
+        assert math.exp(row_log_probability([2, 1], p)) == pytest.approx(want, rel=1e-12)
 
     def test_equal_pair(self):
         p = rw.Parameters(np.log([0.2, 0.2]), np.log([0.6]))
-        assert rw.set_strength([0, 1], p) == pytest.approx(0.6 * 0.2, rel=1e-12)
+        want = 0.6 * 0.2 / (0.4 + 0.6 * 0.2)
+        assert math.exp(row_log_probability([1, 1], p)) == pytest.approx(want, rel=1e-12)
 
     def test_geometric_mean_triple(self):
         p = rw.Parameters(np.log([2.0, 4.0, 8.0]), np.log([0.9, 0.5]))
-        # 0.5 * (2*4*8)^(1/3) = 0.5 * 4 = 2
-        assert rw.set_strength([0, 1, 2], p) == pytest.approx(2.0, rel=1e-12)
+        # f({0,1,2}) = 0.5 * (2*4*8)^(1/3) = 0.5 * 4 = 2
+        den = 14.0 + 0.9 * (math.sqrt(8) + math.sqrt(16) + math.sqrt(32)) + 2.0
+        assert math.exp(row_log_probability([1, 1, 1], p)) == pytest.approx(
+            2.0 / den, rel=1e-12)
 
     def test_order_above_limit(self):
-        p = rw.Parameters(np.log([1.0, 1.0]), np.zeros(0))
-        with pytest.raises(DataError):
-            rw.set_strength([0, 1], p)
+        with pytest.raises(DataError, match="above the limit 1"):
+            EventSet(one_row([1, 1]), 1)
 
 
 class TestChoiceDenominator:
@@ -47,17 +77,18 @@ class TestChoiceDenominator:
             d2 = np.exp(rng.normal(-0.3, 0.4))
             p = rw.Parameters(np.log([a, b]), np.log([d2]))
             expected = a + b + d2 * math.sqrt(a * b)
-            assert rw.choice_denominator([0, 1], p) == pytest.approx(expected, rel=1e-12)
+            assert math.exp(log_denominator([0, 1], p)) == pytest.approx(
+                expected, rel=1e-12)
 
     def test_order_one_is_worth_sum(self):
         p = rw.Parameters(np.log([0.2, 0.3, 0.5]), np.zeros(0))
-        assert rw.choice_denominator([0, 1, 2], p) == pytest.approx(1.0, rel=1e-12)
+        assert math.exp(log_denominator([0, 1, 2], p)) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_brute_force_enumerator(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             p = random_params(rng, 4, 3)
-            got = rw.choice_denominator([0, 1, 2, 3], p)
+            got = math.exp(log_denominator([2, 0, 3, 1], p))
             want = brute_force_denominator([0, 1, 2, 3], p)
             assert got == pytest.approx(want, rel=1e-11)
 
@@ -69,38 +100,36 @@ class TestRankingLogProbability:
         d2 = 0.7
         p = rw.Parameters(np.log([a, b]), np.log([d2]))
         want = math.log(a / (a + b + d2 * math.sqrt(a * b)))
-        assert rw.ranking_log_probability([1, 2], p) == pytest.approx(want, rel=1e-12)
+        assert row_log_probability([1, 2], p) == pytest.approx(want, rel=1e-12)
 
     def test_uniform_strict(self):
         p = rw.Parameters(np.log([1 / 3] * 3), np.zeros(0))
-        got = rw.ranking_log_probability([1, 2, 3], p)
+        got = row_log_probability([1, 2, 3], p)
         assert got == pytest.approx(math.log(1 / 3 * 1 / 2), rel=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         t = random_table(rng, n_items=5, n_rows=15, max_tie=3, partial=True)
         p = random_params(rng, 5, 3)
+        got = np.exp(engine_row_logliks(t, p))
         for i in range(t.n_rows):
             if t.na_mask[i]:
                 continue
-            got = math.exp(rw.ranking_log_probability(t.ranks[i], p))
             want = brute_force_row_probability(t.ranks[i], p)
-            assert got == pytest.approx(want, rel=1e-10)
+            assert got[i] == pytest.approx(want, rel=1e-10)
 
     def test_tie_above_limit_rejected(self):
-        p = rw.Parameters(np.log([0.5, 0.3, 0.2]), np.log([0.5]))
-        with pytest.raises(DataError):
-            rw.ranking_log_probability([1, 1, 1], p)
+        with pytest.raises(DataError, match="above the limit 2"):
+            EventSet(one_row([1, 1, 1]), 2)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         p = random_params(rng, 4, 2)
         row = [2, 1, 3, 0]
-        base = rw.ranking_log_probability(row, p)
+        base = row_log_probability(row, p)
         for c in (1e-6, 5.0, 1e8):
             shifted = rw.Parameters(p.log_worth + math.log(c), p.log_tie)
-            assert rw.ranking_log_probability(row, shifted) == pytest.approx(
-                base, abs=1e-12)
+            assert row_log_probability(row, shifted) == pytest.approx(base, abs=1e-12)
 
     def test_order_one_matches_sequential_choice_product(self):
         # without ties the stagewise product over remaining alternatives
@@ -114,8 +143,7 @@ class TestRankingLogProbability:
         while len(rest) > 1:
             want *= worth[rest[0]] / worth[rest].sum()
             rest = rest[1:]
-        assert math.exp(rw.ranking_log_probability(row, p)) == pytest.approx(
-            want, rel=1e-12)
+        assert math.exp(row_log_probability(row, p)) == pytest.approx(want, rel=1e-12)
 
 
 class TestLogLikelihood:
@@ -124,107 +152,101 @@ class TestLogLikelihood:
             warnings.simplefilter("ignore")
             t = rw.from_rank_matrix([[1, 0, 0]], list("abc"))
         p = rw.Parameters(np.zeros(3), np.zeros(0))
-        assert rw.log_likelihood(t, p) == 0.0
+        assert engine_loglik(t, p) == 0.0
 
     def test_weight_linearity(self):
         t1 = rw.from_rank_matrix([[1, 2], [1, 2]], ["a", "b"])
         t2 = rw.from_rank_matrix([[1, 2]], ["a", "b"], weights=[2.0])
         p = rw.Parameters(np.log([0.6, 0.4]), np.zeros(0))
-        assert rw.log_likelihood(t1, p) == pytest.approx(
-            rw.log_likelihood(t2, p), rel=1e-12)
+        assert engine_loglik(t1, p) == pytest.approx(engine_loglik(t2, p), rel=1e-12)
 
     def test_pudding_deviance_at_published_estimates(self, pudding):
         worth = np.array([0.1388005, 0.1729985, 0.1617420,
                           0.1653930, 0.1586805, 0.2023855])
         p = rw.Parameters(np.log(worth), np.log([0.7468147]))
-        assert -2 * rw.log_likelihood(pudding, p) == pytest.approx(1619.4, abs=0.05)
+        assert -2 * engine_loglik(pudding, p) == pytest.approx(1619.4, abs=0.05)
 
 
 class TestSufficientStats:
     def test_single_win(self):
-        t = rw.from_rank_matrix([[1, 2]], ["A", "B"])
-        s = rw.observed_sufficient_stats(t, 2)
-        assert s.item_stat.tolist() == [1.0, 0.0]
-        assert s.tie_stat.tolist() == [0.0]
+        ev = EventSet(rw.from_rank_matrix([[1, 2]], ["A", "B"]), 2)
+        assert ev.obs_data.tolist() == [1.0, 0.0, 0.0]
 
     def test_single_tie(self):
-        t = rw.from_orderings([[("A", "B")]], ["A", "B"])
-        s = rw.observed_sufficient_stats(t, 2)
-        assert s.item_stat.tolist() == [0.5, 0.5]
-        assert s.tie_stat.tolist() == [1.0]
+        ev = EventSet(rw.from_orderings([[("A", "B")]], ["A", "B"]), 2)
+        assert ev.obs_data.tolist() == [0.5, 0.5, 1.0]
 
     def test_pudding_tally(self, pudding):
         from rankworth.datasets import pudding_pair_counts
 
         pairs = pudding_pair_counts()
-        s = rw.observed_sufficient_stats(pudding, 2)
+        obs = EventSet(pudding, 2).obs_data
         for item in range(1, 7):
             wins = sum(p["w_ij"] for p in pairs if p["i"] == item)
             wins += sum(p["w_ji"] for p in pairs if p["j"] == item)
             ties = sum(p["t_ij"] for p in pairs if item in (p["i"], p["j"]))
-            assert s.item_stat[item - 1] == pytest.approx(wins + ties / 2)
-        assert s.tie_stat[0] == sum(p["t_ij"] for p in pairs)
+            assert obs[item - 1] == pytest.approx(wins + ties / 2)
+        assert obs[6] == sum(p["t_ij"] for p in pairs)
 
     def test_equal_worth_pair_tie_expectation(self):
         d2 = 0.7468
-        t = rw.from_rank_matrix([[1, 2]], ["a", "b"])
-        p = rw.Parameters(np.log([0.5, 0.5]), np.log([d2]))
-        e = rw.expected_sufficient_stats(t, p)
-        assert e.tie_stat[0] == pytest.approx(d2 / (2 + d2), rel=1e-12)
+        ev = EventSet(rw.from_rank_matrix([[1, 2]], ["a", "b"]), 2)
+        theta = np.log([0.5, 0.5, d2])
+        assert ev.expected(theta, ev.w_data)[2] == pytest.approx(d2 / (2 + d2), rel=1e-12)
 
     def test_order_one_expectation_is_normalized_worth(self):
         worth = np.array([0.5, 0.3, 0.2])
-        t = rw.from_rank_matrix([[1, 2, 3]], list("abc"))
-        p = rw.Parameters(np.log(worth), np.zeros(0))
-        e = rw.expected_sufficient_stats(t, p)
-        # first stage normalizes over all three, second over the last two
-        assert e.item_stat[0] == pytest.approx(0.5 + 0.0, abs=1e-12) or True
-        assert e.item_stat.sum() == pytest.approx(2.0, abs=1e-12)
+        ev = EventSet(rw.from_rank_matrix([[1, 2, 3]], list("abc")), 1)
+        e = ev.expected(np.log(worth), ev.w_data)
+        # first stage normalizes over all three, the second over b and c
+        # only, so a's credit is its worth; b gets 0.3 + 0.3/0.5 and c the rest
+        assert e[0] == pytest.approx(0.5, abs=1e-12)
+        assert e.tolist() == pytest.approx([0.5, 0.9, 0.6], abs=1e-12)
+        assert e.sum() == pytest.approx(2.0, abs=1e-12)
 
     def test_obs_exp_totals_match(self):
         rng = np.random.default_rng(6)
         t = random_table(rng, n_items=4, n_rows=12, max_tie=2, partial=True)
         p = random_params(rng, 4, 2)
-        o = rw.observed_sufficient_stats(t, 2)
-        e = rw.expected_sufficient_stats(t, p)
-        assert o.item_stat.sum() == pytest.approx(e.item_stat.sum(), rel=1e-10)
+        ev = EventSet(t, 2)
+        exp = ev.expected(p.theta(), ev.w_data)
+        assert ev.obs_data[:4].sum() == pytest.approx(exp[:4].sum(), rel=1e-10)
 
 
 class TestGradientIdentity:
-    def _fd_gradient(self, table, params, step=1e-5):
-        theta = params.theta()
-        j = params.n_items
-        grad = np.zeros_like(theta)
-        for k in range(len(theta)):
-            up, down = theta.copy(), theta.copy()
-            up[k] += step
-            down[k] -= step
-            grad[k] = (
-                rw.log_likelihood(table, rw.Parameters(up[:j], up[j:]))
-                - rw.log_likelihood(table, rw.Parameters(down[:j], down[j:]))
-            ) / (2 * step)
-        return grad
-
     def test_gradient_is_obs_minus_exp(self):
+        # the engine's analytic gradient against central differences of
+        # the brute-force log-likelihood
         rng = np.random.default_rng(7)
+        step = 1e-5
         for _ in range(5):
             t = random_table(rng, n_items=4, n_rows=10, max_tie=2, partial=True)
             p = random_params(rng, 4, 2)
-            obs = rw.observed_sufficient_stats(t, 2).vector()
-            exp = rw.expected_sufficient_stats(t, p).vector()
-            fd = self._fd_gradient(t, p)
-            assert np.allclose(obs - exp, fd, rtol=1e-6, atol=1e-6)
+            ev = EventSet(t, 2)
+            theta = p.theta()
+            fd = np.zeros_like(theta)
+            for k in range(len(theta)):
+                up, down = theta.copy(), theta.copy()
+                up[k] += step
+                down[k] -= step
+                fd[k] = (brute_force_loglik(t, rw.Parameters.from_theta(up, 4))
+                         - brute_force_loglik(t, rw.Parameters.from_theta(down, 4))
+                         ) / (2 * step)
+            grad = ev.gradient(theta, ev.w_data, ev.obs_data)
+            assert np.allclose(grad, fd, rtol=1e-6, atol=1e-6)
 
 
 class TestEnumerateTiedRankings:
+    """The oracle enumerator that acceptance criterion 6 sums over."""
+
     def test_pair_outcomes(self):
-        assert len(rw.enumerate_tied_rankings(2, 2)) == 3
+        assert len(enumerate_tied_rankings(2, 2)) == 3
 
     def test_strict_permutations(self):
-        assert len(rw.enumerate_tied_rankings(3, 1)) == 6
+        assert len(enumerate_tied_rankings(3, 1)) == 6
 
     def test_ordered_set_partitions_count(self):
-        assert len(rw.enumerate_tied_rankings(3, 3)) == 13
+        assert len(enumerate_tied_rankings(3, 3)) == 13
 
     def test_direct_enumeration_cross_check(self):
         # independent count: ordered set partitions with bounded blocks
@@ -237,27 +259,24 @@ class TestEnumerateTiedRankings:
             return total
 
         for n, d in [(2, 2), (3, 2), (4, 2), (4, 3), (5, 3)]:
-            assert len(rw.enumerate_tied_rankings(n, d)) == count(n, d)
-
-    def test_guard(self):
-        with pytest.raises(DataError):
-            rw.enumerate_tied_rankings(7, 2)
+            rows = enumerate_tied_rankings(n, d)
+            assert len(rows) == count(n, d)
+            assert len({tuple(r) for r in rows}) == len(rows)
 
     def test_normalization(self):
+        # the brute-force oracle itself sums to one over every outcome
         rng = np.random.default_rng(8)
         for _ in range(25):
             j = int(rng.integers(2, 6))
             d = int(rng.integers(1, 4))
             p = random_params(rng, j, d)
-            total = 0.0
-            for ranking in rw.enumerate_tied_rankings(j, d):
-                row = ranking_to_row(ranking, j)
-                total += math.exp(rw.ranking_log_probability(row, p))
+            total = sum(brute_force_row_probability(row, p)
+                        for row in enumerate_tied_rankings(j, d))
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
 class TestEventSet:
-    """The vectorized engine must agree with the reference functions."""
+    """The engine must agree with the brute-force oracles."""
 
     def test_loglik_matches_reference(self):
         rng = np.random.default_rng(9)
@@ -265,17 +284,17 @@ class TestEventSet:
         p = random_params(rng, 5, 3)
         ev = EventSet(t, 3)
         got = ev.loglik(p.theta(), ev.w_data, ev.obs_data)
-        assert got == pytest.approx(rw.log_likelihood(t, p), rel=1e-11)
+        assert got == pytest.approx(brute_force_loglik(t, p), rel=1e-11)
 
     def test_stats_match_reference(self):
         rng = np.random.default_rng(10)
         t = random_table(rng, n_items=5, n_rows=20, max_tie=3, partial=True)
         p = random_params(rng, 5, 3)
         ev = EventSet(t, 3)
-        assert np.allclose(ev.obs_data,
-                           rw.observed_sufficient_stats(t, 3).vector())
-        assert np.allclose(ev.expected(p.theta(), ev.w_data),
-                           rw.expected_sufficient_stats(t, p).vector())
+        obs, exp = brute_force_stats(t, p)
+        assert np.allclose(ev.obs_data, obs, rtol=1e-12, atol=1e-12)
+        assert np.allclose(ev.expected(p.theta(), ev.w_data), exp,
+                           rtol=1e-10, atol=1e-12)
 
     def test_information_matches_fd_of_gradient(self):
         rng = np.random.default_rng(11)
@@ -308,14 +327,13 @@ class TestEventSet:
 
 class TestChoiceEvents:
     def test_final_singleton_skipped(self):
-        t = rw.from_rank_matrix([[1, 2]], ["a", "b"])
-        events = list(rw.choice_events(t))
-        assert len(events) == 1
-        assert events[0].chosen == (0,)
-        assert events[0].alternatives == (0, 1)
+        ev = EventSet(rw.from_rank_matrix([[1, 2]], ["a", "b"]), 1)
+        assert ev.n_events == 1
+        assert ev.ev_sizes.tolist() == [2]
+        assert ev.obs_data.tolist() == [1.0, 0.0]
 
     def test_final_tie_group_not_skipped(self):
-        t = rw.from_rank_matrix([[1, 2, 2]], list("abc"))
-        events = list(rw.choice_events(t))
-        assert len(events) == 2
-        assert events[1].chosen == (1, 2)
+        ev = EventSet(rw.from_rank_matrix([[1, 2, 2]], list("abc")), 2)
+        assert ev.n_events == 2
+        assert ev.ev_sizes.tolist() == [3, 2]
+        assert ev.obs_data.tolist() == [1.0, 0.5, 0.5, 1.0]

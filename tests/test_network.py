@@ -65,6 +65,29 @@ class TestConnectivity:
         assert rep.no == 1
         assert rep.strongly_connected
 
+    def test_matches_reachability_oracle(self):
+        # i and j share a component iff each reaches the other; ids follow
+        # each component's smallest item index
+        rng = np.random.default_rng(30)
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            counts = (rng.random((n, n)) < rng.uniform(0.05, 0.4)) * 1.0
+            np.fill_diagonal(counts, 0.0)
+            reach = np.eye(n, dtype=bool) | (counts > 0)
+            for k in range(n):
+                reach |= reach[:, [k]] & reach[[k], :]
+            same = reach & reach.T
+            membership, ids = [], {}
+            for i in range(n):
+                root = int(np.flatnonzero(same[i])[0])
+                ids.setdefault(root, len(ids) + 1)
+                membership.append(ids[root])
+            items = tuple(f"i{k}" for k in range(n))
+            rep = rw.connectivity(rw.AdjacencyMatrix(items, counts))
+            assert rep.membership == tuple(membership)
+            assert rep.csize == tuple(membership.count(c) for c in range(1, len(ids) + 1))
+            assert rep.no == len(ids)
+
     def test_two_clusters(self, disconnected):
         rep = rw.connectivity(rw.adjacency(disconnected))
         assert rep.no == 2

@@ -174,7 +174,7 @@ class TestGroupRankings:
 
     def test_group_loglik_is_member_sum(self):
         rng = np.random.default_rng(11)
-        from tests.conftest import random_params, random_table
+        from tests.conftest import engine_loglik, random_params, random_table
 
         t = random_table(rng, n_items=4, n_rows=12, max_tie=2)
         g = rw.group_rankings(t, (np.arange(t.n_rows) % 3) + 1)
@@ -182,8 +182,8 @@ class TestGroupRankings:
         total = 0.0
         for gid in (1, 2, 3):
             sub = g.group_table(gid)
-            total += rw.log_likelihood(sub, params)
-        assert total == pytest.approx(rw.log_likelihood(t, params), abs=1e-10)
+            total += engine_loglik(sub, params)
+        assert total == pytest.approx(engine_loglik(t, params), abs=1e-10)
 
     def test_missing_group_id(self):
         t = rw.from_rank_matrix([[1, 2]] * 3, ["a", "b"])
@@ -249,6 +249,18 @@ class TestTableBasics:
             abcd.with_weights([1.0])
         with pytest.raises(DataError):
             abcd.with_weights([-1.0] * abcd.n_rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, abcd, bad):
+        # bad weights fail on input, not later as a misleading fit error
+        weights = np.ones(abcd.n_rows)
+        weights[2] = bad
+        with pytest.raises(DataError, match="finite and non-negative"):
+            abcd.with_weights(weights)
+        with pytest.raises(DataError, match="finite and non-negative"):
+            rw.from_rank_matrix(abcd.ranks, abcd.items, weights=weights)
+        with pytest.raises(DataError, match="finite and non-negative"):
+            rw.RankingsTable(abcd.items, abcd.ranks, weights, abcd.na_mask)
 
     def test_max_tie_order(self):
         t = rw.from_rank_matrix([[1, 1, 1, 2], [1, 2, 3, 4]], list("abcd"))

@@ -289,8 +289,12 @@ class TestSerialization:
         loaded = rw.read_model_json(path)
         assert loaded.n_leaves() == tree.n_leaves()
         for a, b in zip(tree.leaves(), loaded.leaves()):
+            assert isinstance(b.fit_result, rw.ModelFit)
             assert np.array_equal(a.fit_result.params.log_worth,
                                   b.fit_result.params.log_worth)
+        again = tmp_path / "tree_again.json"
+        rw.write_model_json(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
         nid1, w1 = rw.predict_node(tree, {"x": 0.2, "noise": 0.0})
         nid2, w2 = rw.predict_node(loaded, {"x": 0.2, "noise": 0.0})
         assert nid1 == nid2
