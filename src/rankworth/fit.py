@@ -45,6 +45,9 @@ _LOG_FLOOR = -500.0
 
 NOT_CONNECTED_MESSAGE = ("Network is not fully connected - cannot estimate "
                          "all item parameters with npseudo = 0")
+NO_UPDATE_MESSAGE = ("an item has no wins or tie credit, or a positive observed "
+                     "count has zero expectation; fit requires a strongly "
+                     "connected network or npseudo > 0")
 
 
 @dataclass(frozen=True)
@@ -171,9 +174,11 @@ class ModelFit:
 
 
 def _normalize_worth(theta: np.ndarray, n_items: int) -> np.ndarray:
+    """Shift the log-worths of theta, or of each of its columns, so that
+    the worths sum to one."""
     lw = theta[:n_items]
-    m = lw.max()
-    total = m + np.log(np.exp(lw - m).sum())
+    m = lw.max(axis=0)
+    total = m + np.log(np.exp(lw - m).sum(axis=0))
     out = theta.copy()
     out[:n_items] = lw - total
     return out
@@ -185,9 +190,12 @@ def convergence_check(obs, exp, tol: float) -> bool:
     return bool(_discrepancy(np.asarray(obs), np.asarray(exp)) <= tol)
 
 
-def _discrepancy(obs: np.ndarray, exp: np.ndarray) -> float:
+def _discrepancy(obs: np.ndarray, exp: np.ndarray):
+    """max_i |obs_i - exp_i| / max(1, |obs_i|), per column of 2-D input."""
+    if obs.shape[0] == 0:
+        return np.zeros(obs.shape[1:])
     denom = np.maximum(1.0, np.abs(obs))
-    return float(np.max(np.abs(obs - exp) / denom)) if obs.size else 0.0
+    return np.max(np.abs(obs - exp) / denom, axis=0)
 
 
 def steffensen_accelerate(x_t: np.ndarray, x_t1: np.ndarray, x_t2: np.ndarray) -> np.ndarray:
@@ -202,22 +210,31 @@ def steffensen_accelerate(x_t: np.ndarray, x_t1: np.ndarray, x_t2: np.ndarray) -
     return out
 
 
-def _scaling_update(params: Parameters, obs: np.ndarray, exp: np.ndarray) -> Parameters:
-    j = params.n_items
-    if np.any((exp <= 0) & (obs > 0)):
-        raise ModelError("zero expected count for a positive observed count; "
-                         "the win/loss structure does not identify all parameters")
-    with np.errstate(divide="ignore"):
+def _scale(theta: np.ndarray, obs: np.ndarray, exp: np.ndarray,
+           n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """One scaling sweep of theta (P,) or of each column of theta (P, C).
+
+    Returns the new iterate and, per column, whether the update does not
+    exist: a positive observed count with zero expectation, or an item
+    with no wins or tie credit, whose log-worth would diverge.  Such a
+    column keeps its input values.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(obs > 0, np.log(obs) - np.log(exp), -np.inf)
-    theta = params.theta()
     new = theta + ratio
-    new[j:] = np.maximum(new[j:], _LOG_FLOOR)
-    # items with zero observed wins would diverge; connectivity rules it out
-    if not np.all(np.isfinite(new[:j])):
-        raise ModelError("an item has no wins or tie credit; "
-                         "fit requires a strongly connected network or npseudo > 0")
-    new = _normalize_worth(new, j)
-    return Parameters.from_theta(new, j)
+    new[n_items:] = np.maximum(new[n_items:], _LOG_FLOOR)
+    failed = (np.any((exp <= 0) & (obs > 0), axis=0)
+              | ~np.all(np.isfinite(new[:n_items]), axis=0))
+    return _normalize_worth(np.where(failed, theta, new), n_items), failed
+
+
+def _scaling_update(params: Parameters, obs: np.ndarray, exp: np.ndarray) -> Parameters:
+    """One scaling sweep of a parameter vector; raises where the update
+    does not exist."""
+    new, failed = _scale(params.theta(), obs, exp, params.n_items)
+    if failed:
+        raise ModelError(NO_UPDATE_MESSAGE)
+    return Parameters.from_theta(new, params.n_items)
 
 
 def _start_theta(events: EventSet, config: FitConfig) -> np.ndarray:
@@ -226,51 +243,63 @@ def _start_theta(events: EventSet, config: FitConfig) -> np.ndarray:
 
 
 def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
-                   config: FitConfig,
-                   theta0: np.ndarray | None = None) -> tuple[np.ndarray, bool, int]:
-    """Iterative scaling of an event structure under arbitrary event
-    weights and observed statistics.
+                   config: FitConfig, theta0: np.ndarray | None = None):
+    """Iterative scaling of an event structure, one problem per column:
+    event weights ``w`` (E, C) and observed statistics ``obs`` (P, C).
 
-    Sweeps run in cycles of three per iteration; once the convergence
-    measure is inside the activation threshold, each cycle ends with a
-    log-likelihood-guarded Steffensen extrapolation of its three sweeps.
+    Every column starts from ``theta0`` (P,), or from the uniform start.
+    Sweeps run in cycles of three per iteration; once a column's
+    convergence measure is inside the activation threshold, its cycle ends
+    with a log-likelihood-guarded Steffensen extrapolation of its three
+    sweeps.  A column stops once it meets ``tol``, at ``maxit``, or when
+    its scaling update does not exist (it is then marked failed and keeps
+    its last iterate).
+
+    Returns theta (P, C) and, per column, converged, iterations and failed.
     """
     j = events.n_items
-
-    def sweep(theta: np.ndarray) -> np.ndarray:
-        exp = events.expected(theta, w)
-        params = Parameters.from_theta(theta, j)
-        return _scaling_update(params, obs, exp).theta()
-
-    if theta0 is None:
-        theta = _normalize_worth(_start_theta(events, config), j)
-    else:
-        theta = _normalize_worth(np.array(theta0, dtype=float), j)
+    n_cols = w.shape[1]
+    start = _start_theta(events, config) if theta0 is None else np.asarray(theta0, float)
+    theta = _normalize_worth(np.repeat(start[:, None], n_cols, axis=1), j)
     disc = _discrepancy(obs, events.expected(theta, w))
-    iterations = 0
     converged = disc <= config.tol
-    while not converged and iterations < config.maxit:
-        iterations += 1
-        accelerate = disc < config.steffensen_threshold
-        t1 = sweep(theta)
-        t2 = sweep(t1)
-        t3 = sweep(t2)
-        if accelerate:
-            prop = _normalize_worth(steffensen_accelerate(t1, t2, t3), j)
+    failed = np.zeros(n_cols, dtype=bool)
+    iterations = np.zeros(n_cols, dtype=np.int64)
+    active = np.flatnonzero(~converged)
+    for it in range(1, config.maxit + 1):
+        if active.size == 0:
+            break
+        th, wa, oa = theta[:, active], w[:, active], obs[:, active]
+        t1, f1 = _scale(th, oa, events.expected(th, wa), j)
+        t2, f2 = _scale(t1, oa, events.expected(t1, wa), j)
+        t3, f3 = _scale(t2, oa, events.expected(t2, wa), j)
+        new = t3
+        acc = np.flatnonzero(disc[active] < config.steffensen_threshold)
+        if acc.size:
+            prop = _normalize_worth(
+                steffensen_accelerate(t1[:, acc], t2[:, acc], t3[:, acc]), j)
             prop[j:] = np.maximum(prop[j:], _LOG_FLOOR)
-            if events.loglik(prop, w, obs) >= events.loglik(t3, w, obs):
-                theta = prop
-            else:
-                theta = t3
-        else:
-            theta = t3
-        disc = _discrepancy(obs, events.expected(theta, w))
-        converged = disc <= config.tol
-    return theta, converged, iterations
+            wacc, oacc = wa[:, acc], oa[:, acc]
+            better = (events.loglik(prop, wacc, oacc)
+                      >= events.loglik(t3[:, acc], wacc, oacc))
+            new[:, acc[better]] = prop[:, better]
+        bad = f1 | f2 | f3
+        new[:, bad] = th[:, bad]
+        theta[:, active] = new
+        iterations[active] = it
+        failed[active] = bad
+        disc[active] = _discrepancy(oa, events.expected(new, wa))
+        converged[active] = (disc[active] <= config.tol) & ~bad
+        active = active[~converged[active] & ~bad]
+    return theta, converged, iterations, failed
 
 
 def _iterative_scaling(events: EventSet, config: FitConfig) -> tuple[np.ndarray, bool, int]:
-    return _scaling_solve(events, events.w_total, events.obs_total, config)
+    theta, converged, iterations, failed = _scaling_solve(
+        events, events.w_total[:, None], events.obs_total[:, None], config)
+    if failed[0]:
+        raise ModelError(NO_UPDATE_MESSAGE)
+    return theta[:, 0], bool(converged[0]), int(iterations[0])
 
 
 def _quasi_newton(events: EventSet, config: FitConfig) -> tuple[np.ndarray, bool, int]:
@@ -312,7 +341,7 @@ def _quasi_newton(events: EventSet, config: FitConfig) -> tuple[np.ndarray, bool
             raise ModelError(f"quasi-Newton optimization failed: {status}")
     theta = _normalize_worth(unpack(res.x), j)
     exp = events.expected(theta, w)
-    converged = _discrepancy(obs, exp) <= config.tol
+    converged = bool(_discrepancy(obs, exp) <= config.tol)
     return theta, converged, int(res.nit)
 
 

@@ -154,13 +154,17 @@ def _parse_rank_csv(path, weights_col: str | None = None):
 
     Every column is an item except the weight column (``weights_col``, or
     a column named "weight" when none is named) and a column named
-    "group", which holds integer group ids.
+    "group", which holds integer group ids.  A column named "weight" next
+    to a differently named ``weights_col`` is refused as ambiguous.
     """
     header, rows = _read_csv_rows(path)
     if weights_col is None:
         weights_col = "weight" if "weight" in header else None
     elif weights_col not in header:
         raise DataError(f"weight column {weights_col!r} not found")
+    elif weights_col != "weight" and "weight" in header:
+        raise DataError(f"weights are read from column {weights_col!r}, so the "
+                        "column named 'weight' is ambiguous; rename or drop it")
     special = {header.index(name): kind
                for name, kind in ((weights_col, "weight"), ("group", "group"))
                if name in header}
@@ -187,7 +191,12 @@ def read_rank_csv(path, weights_col: str | None = None) -> RankingsTable:
     """Read a rankings table from CSV: header = item names, body = integer
     rank codes.  The column named ``weights_col`` (by default one named
     "weight", if present) holds row weights, and a column named "group"
-    holds group ids; neither is an item."""
+    holds group ids; neither is an item.
+
+    Raises:
+        DataError: malformed cells, or a column named "weight" beside a
+            differently named ``weights_col``.
+    """
     return _parse_rank_csv(path, weights_col)[0]
 
 
@@ -195,7 +204,8 @@ def read_covariates_csv(path):
     """Read per-group covariates: one row per group; a "group" column, if
     present, gives the group id (rows are sorted by it), otherwise row
     order is the group order.  Columns whose values all parse as numbers
-    become numeric covariates, everything else categorical."""
+    become numeric covariates, everything else categorical; a numeric
+    column with a ``nan`` or ``inf`` cell raises DataError."""
     from .tree import CovariateFrame
 
     header, rows = _read_csv_rows(path)

@@ -295,25 +295,38 @@ class EventSet:
 
     # -- evaluation ---------------------------------------------------
 
+    # Evaluation takes one parameter vector theta (P,) with event weights
+    # (E,) and observed statistics (P,), or C columns of each: theta
+    # (P, C), weights (E, C), obs (P, C), evaluated column by column.  A
+    # single column takes the 1-D path, which is faster and keeps its
+    # arithmetic.
+
     def _log_denominators(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         logf = self.B @ theta
         if self.n_events == 0:
-            return logf, np.zeros(0)
+            return logf, np.zeros((0,) + theta.shape[1:])
         m = np.maximum.reduceat(logf, self.ev_ptr[:-1])
         shifted = np.exp(logf - m[self.sub_event])
         denom = np.add.reduceat(shifted, self.ev_ptr[:-1])
         return logf, m + np.log(denom)
 
-    def loglik(self, theta: np.ndarray, weights: np.ndarray, obs: np.ndarray) -> float:
+    def loglik(self, theta: np.ndarray, weights: np.ndarray, obs: np.ndarray):
+        """Log-likelihood: a float, or one value per column."""
+        if theta.ndim == 2 and theta.shape[1] == 1:
+            return np.array([self.loglik(theta[:, 0], weights[:, 0], obs[:, 0])])
         _, logden = self._log_denominators(theta)
-        return float(obs @ theta - weights @ logden)
+        if theta.ndim == 1:
+            return float(obs @ theta - weights @ logden)
+        return np.sum(obs * theta, axis=0) - np.sum(weights * logden, axis=0)
 
     def outcome_probs(self, theta: np.ndarray) -> np.ndarray:
         logf, logden = self._log_denominators(theta)
         return np.exp(logf - logden[self.sub_event])
 
     def expected(self, theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Expected sufficient statistic vector under event ``weights``."""
+        """Expected sufficient statistics under event ``weights``."""
+        if theta.ndim == 2 and theta.shape[1] == 1:
+            return self.expected(theta[:, 0], weights[:, 0])[:, None]
         p = self.outcome_probs(theta)
         return self.B.T @ (weights[self.sub_event] * p)
 

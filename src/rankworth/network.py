@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DataError
@@ -96,7 +97,10 @@ def connectivity(adj: AdjacencyMatrix) -> ConnectivityReport:
     counts = adj.counts
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise DataError("adjacency counts must be square")
-    no, labels = connected_components(counts, directed=True, connection="strong")
+    # an edge is read by the sign of its weight: SciPy's dense conversion
+    # would drop weights below about 1e-8
+    no, labels = connected_components(csr_matrix(counts > 0), directed=True,
+                                      connection="strong")
     # relabel so that cluster ids follow each cluster's smallest item index
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     membership = np.argsort(np.argsort(first))[inverse] + 1

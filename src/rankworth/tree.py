@@ -18,8 +18,11 @@ Numeric covariates use a sup-LM statistic over candidate breakpoints in
 the trimmed range, with p values from the standard crossing-probability
 approximation for the supremum of a squared Bessel bridge; categorical
 covariates use the chi-squared fluctuation statistic over level sums.
-Candidate-split child refits reuse one shared event structure, re-weighted
-by cumulative group prefixes, with warm starts along the sweep.
+The children of all candidate splits of a node are refitted together: each
+child re-weights one shared event structure by its groups' sums, and all
+children are solved as the columns of one iterative-scaling problem, each
+started from the node's pooled fit.  A candidate with a child whose fit
+does not exist is skipped, not fatal.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.stats import chi2
 
-from .errors import DataError
-from .fit import FitConfig, ModelFit, fit
+from .errors import DataError, ModelError
+from .fit import FitConfig, ModelFit, _iterative_scaling, _scaling_solve, fit
 from .likelihood import EventSet
 from .network import augment_with_pseudo_rankings
 from .rankings import GroupedRankings, RankingsTable
@@ -76,8 +80,11 @@ class Covariate:
         if self.kind not in ("numeric", "categorical", "ordinal"):
             raise DataError(f"unknown covariate kind {self.kind!r}")
         if self.kind == "numeric":
-            object.__setattr__(self, "values",
-                               tuple(float(v) for v in self.values))
+            values = tuple(float(v) for v in self.values)
+            if not all(math.isfinite(v) for v in values):
+                raise DataError(f"numeric covariate {self.name!r} has a "
+                                "missing or infinite value")
+            object.__setattr__(self, "values", values)
         else:
             object.__setattr__(self, "values",
                                tuple(str(v) for v in self.values))
@@ -190,6 +197,9 @@ class PLNode:
     left: "PLNode | None" = None
     right: "PLNode | None" = None
     fit_result: ModelFit | None = None
+    n_inadmissible: int = 0     # candidate splits whose child fit did not exist
+    n_unconverged: int = 0      # candidate child fits that missed tol
+    stop_reason: str | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -352,128 +362,166 @@ def instability_test(scores: np.ndarray, covariate: Covariate) -> tuple[float, f
     return stat, float(chi2.sf(stat, df))
 
 
-class _NodeFitter:
-    """Shared-geometry child fitting for split search.
-
-    One event structure covers the node's data plus the ghost
-    pseudo-rankings; a candidate child is just a re-weighting (its groups'
-    event weights plus the full pseudo weights), so the sweep over
-    cutpoints refits from warm starts without rebuilding anything.
-    """
-
-    def __init__(self, table: RankingsTable, group_index: np.ndarray,
-                 config: FitConfig, max_tie_order: int):
-        self.config = config
-        if config.npseudo > 0:
-            aug = augment_with_pseudo_rankings(table, config.npseudo)
-            pseudo_mask = np.zeros(aug.n_rows, dtype=bool)
-            pseudo_mask[table.n_rows:] = True
-            gidx = np.concatenate([group_index, np.ones(2 * table.n_items, dtype=np.int64)])
-        else:
-            aug = table
-            pseudo_mask = None
-            gidx = group_index
-        self.events = EventSet(aug, max_tie_order, pseudo_mask=pseudo_mask,
-                               group_index=gidx,
-                               allow_high_tie_orders=config.allow_high_tie_orders)
-        # group-resolved data weights/obs exclude pseudo rows by construction
-        ev = self.events
-        self.group_w = np.asarray(ev.group_event_weights.todense())
-        self.group_obs = ev.group_obs
-        self.w_pseudo = ev.w_pseudo
-        self.obs_pseudo = ev.obs_pseudo
-        self.start = None
-
-    def fit_weights(self, w_data: np.ndarray, obs_data: np.ndarray,
-                    theta0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        """Maximize with given data weighting; returns (theta, data loglik)."""
-        from .fit import _scaling_solve
-
-        w = w_data + self.w_pseudo
-        obs = obs_data + self.obs_pseudo
-        theta, _, _ = _scaling_solve(self.events, w, obs, self.config, theta0)
-        return theta, self.events.loglik(theta, w_data, obs_data)
+# Candidate children are solved in blocks of columns; each working array
+# of a block holds about this many subset-by-column values (128 KB).
+_BLOCK_CELLS = 1 << 14
 
 
 def best_split(grouped: GroupedRankings, covariate: Covariate,
-               config: TreeConfig, fitter: _NodeFitter | None = None,
-               max_tie_order: int | None = None):
+               config: TreeConfig, max_tie_order: int | None = None, *,
+               tally: dict | None = None):
     """Exhaustive cutpoint scan for one covariate.
 
     Numeric: midpoints of consecutive distinct sorted values; categorical:
     binary level subsets (ordinal: contiguous only).  Every candidate's
-    children are refitted; returns (Split, summed child log-likelihood) or
-    None when no candidate satisfies the size constraint.
+    two children are refitted, all at once: each child is a re-weighting
+    of one shared event structure (its groups' event weights plus the
+    full pseudo weights), and the children are solved as the columns of
+    one iterative-scaling problem, every column started from the node's
+    pooled fit.  A candidate whose child has no scaling update (an item
+    without wins or tie credit) is inadmissible and skipped.
+
+    Returns (Split, summed child log-likelihood) or None when no candidate
+    satisfies the size constraint and is admissible.  If ``tally`` is a
+    dict it receives the counts of ``inadmissible`` candidates and of
+    ``unconverged`` child fits among the admissible ones.
     """
     table = grouped.rankings
+    fit_config = config.fit_config
     if max_tie_order is None:
         max_tie_order = table.max_tie_order()
-    if fitter is None:
-        fitter = _NodeFitter(table, grouped.group_index, config.fit_config,
-                             max_tie_order)
-    g = grouped.n_groups
-    values = covariate.values
-    if len(values) != g:
+    if len(covariate.values) != grouped.n_groups:
         raise DataError("covariate length must match the number of groups")
+    if tally is not None:
+        tally.update(inadmissible=0, unconverged=0)
 
+    if fit_config.npseudo > 0:
+        aug = augment_with_pseudo_rankings(table, fit_config.npseudo)
+        pseudo_mask = np.zeros(aug.n_rows, dtype=bool)
+        pseudo_mask[table.n_rows:] = True
+        gidx = np.concatenate([grouped.group_index,
+                               np.ones(2 * table.n_items, dtype=np.int64)])
+    else:
+        aug, pseudo_mask, gidx = table, None, grouped.group_index
+    events = EventSet(aug, max_tie_order, pseudo_mask=pseudo_mask,
+                      group_index=gidx,
+                      allow_high_tie_orders=fit_config.allow_high_tie_orders)
+    # per-group data, one row per group: event weights, then observed statistics
+    stats = sp.hstack([events.group_event_weights, sp.csr_matrix(events.group_obs)],
+                      format="csr")
+    splits, child_sums = _candidates(covariate, config.minsize, stats)
+    if not splits:
+        return None
+
+    objective, admissible, unconverged = _solve_children(
+        events, child_sums, len(splits), fit_config)
+    if tally is not None:
+        tally["inadmissible"] = int((~admissible).sum())
+        tally["unconverged"] = unconverged
     best = None
-    theta_warm = None
+    for split, obj, ok in zip(splits, objective, admissible):
+        if ok and (best is None or obj > best[1] + 1e-12):
+            best = (split, float(obj))
+    return best
 
-    def child_objective(left_mask: np.ndarray):
-        nonlocal theta_warm
-        w_l = left_mask @ fitter.group_w
-        o_l = left_mask @ fitter.group_obs
-        w_r = fitter.group_w.sum(axis=0) - w_l
-        o_r = fitter.group_obs.sum(axis=0) - o_l
-        theta_l, ll_l = fitter.fit_weights(w_l, o_l, theta_warm)
-        theta_r, ll_r = fitter.fit_weights(w_r, o_r, theta_warm)
-        theta_warm = theta_l
-        return ll_l + ll_r
 
+def _candidates(covariate: Covariate, minsize: int, stats):
+    """Candidate splits on one covariate with at least ``minsize`` groups
+    on each side, and ``child_sums(rows)``: the left and right child sums
+    of the per-group rows of ``stats`` for candidates ``rows``."""
+    values = covariate.values
+    g = len(values)
     if covariate.kind == "numeric":
         x = np.array(values, dtype=float)
         order = np.argsort(x, kind="stable")
         xs = x[order]
         sizes = np.arange(1, g)
-        distinct = xs[:-1] < xs[1:]
-        feasible = distinct & (sizes >= config.minsize) & (g - sizes >= config.minsize)
-        for i in np.flatnonzero(feasible):
-            cut = 0.5 * (xs[i] + xs[i + 1])
-            mask = (x <= cut).astype(float)
-            obj = child_objective(mask)
-            if best is None or obj > best[1] + 1e-12:
-                best = (Split(covariate.name, "numeric", threshold=float(cut)), obj)
+        cuts = np.flatnonzero((xs[:-1] < xs[1:]) & (sizes >= minsize)
+                              & (g - sizes >= minsize))
+        splits = [Split(covariate.name, "numeric", threshold=float(0.5 * (xs[i] + xs[i + 1])))
+                  for i in cuts]
+        prefix = stats[order].toarray()
+        last = g - 1 - np.argmax(prefix[::-1] != 0, axis=0)    # last contributing group
+        np.cumsum(prefix, axis=0, out=prefix)
+
+        def child_sums(rows):
+            left = prefix[cuts[rows]]
+            # total minus left, exactly zero where no later group contributes
+            right = np.where(cuts[rows, None] >= last, 0.0, prefix[-1] - left)
+            return left, right
+        return splits, child_sums
+
+    levels = covariate.levels()
+    if len(levels) > MAX_CATEGORICAL_LEVELS:
+        raise DataError(
+            f"covariate {covariate.name!r} has {len(levels)} levels; "
+            f"at most {MAX_CATEGORICAL_LEVELS} are supported")
+    if covariate.kind == "ordinal":
+        subsets = [frozenset(levels[:k]) for k in range(1, len(levels))]
     else:
-        levels = covariate.levels()
-        if len(levels) > MAX_CATEGORICAL_LEVELS:
-            raise DataError(
-                f"covariate {covariate.name!r} has {len(levels)} levels; "
-                f"at most {MAX_CATEGORICAL_LEVELS} are supported")
-        varr = np.array(values, dtype=object)
-        if covariate.kind == "ordinal":
-            candidates = [frozenset(levels[:k]) for k in range(1, len(levels))]
-        else:
-            first, rest = levels[0], levels[1:]
-            candidates = [frozenset({first, *extra})
-                          for r in range(0, len(rest))
-                          for extra in itertools.combinations(rest, r)]
-        for subset in candidates:
-            mask = np.array([v in subset for v in varr], dtype=float)
-            n_l = int(mask.sum())
-            if n_l < config.minsize or g - n_l < config.minsize:
-                continue
-            obj = child_objective(mask)
-            if best is None or obj > best[1] + 1e-12:
-                split = Split(covariate.name, covariate.kind,
-                              left_levels=subset,
-                              right_levels=frozenset(levels) - subset)
-                best = (split, obj)
-    return best
+        first, rest = levels[0], levels[1:]
+        subsets = [frozenset({first, *extra})
+                   for r in range(0, len(rest))
+                   for extra in itertools.combinations(rest, r)]
+    codes = np.searchsorted(levels, values)
+    in_left = np.array([[lv in s for lv in levels] for s in subsets],
+                       dtype=bool).reshape(len(subsets), len(levels))
+    n_left = in_left @ np.bincount(codes, minlength=len(levels))
+    keep = (n_left >= minsize) & (g - n_left >= minsize)
+    splits = [Split(covariate.name, covariate.kind, left_levels=s,
+                    right_levels=frozenset(levels) - s)
+              for s, k in zip(subsets, keep) if k]
+    in_left = in_left[keep]
+    level_of = sp.csr_matrix((np.ones(g), (codes, np.arange(g))), shape=(len(levels), g))
+    per_level = (level_of @ stats).toarray()
+
+    def child_sums(rows):
+        return in_left[rows] @ per_level, ~in_left[rows] @ per_level
+    return splits, child_sums
+
+
+def _solve_children(events: EventSet, child_sums, n_cand: int,
+                    fit_config: FitConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fit the two children of every candidate split, a block of
+    candidates at a time.
+
+    ``child_sums(rows)`` gives the left and right children of candidates
+    ``rows``: one row per child, its data event weights followed by its
+    observed statistics.  Returns each candidate's summed child data
+    log-likelihood, whether both children have a fit, and the number of
+    unconverged children among candidates that have.
+    """
+    n_events = events.n_events
+    start = _iterative_scaling(events, fit_config)[0]
+    per_block = max(1, _BLOCK_CELLS // (2 * max(events.n_subsets, 1)))
+    objective = np.empty(n_cand)
+    admissible = np.empty(n_cand, dtype=bool)
+    unconverged = 0
+    for lo in range(0, n_cand, per_block):
+        rows = np.arange(lo, min(lo + per_block, n_cand))
+        data = np.vstack(child_sums(rows)).T
+        w, obs = data[:n_events], data[n_events:]
+        theta, converged, _, failed = _scaling_solve(
+            events, w + events.w_pseudo[:, None], obs + events.obs_pseudo[:, None],
+            fit_config, start)
+        ll = events.loglik(theta, w, obs)
+        b = rows.size
+        objective[rows] = ll[:b] + ll[b:]
+        ok = ~(failed[:b] | failed[b:])
+        admissible[rows] = ok
+        unconverged += int((~converged[:b] & ok).sum() + (~converged[b:] & ok).sum())
+    return objective, admissible, unconverged
 
 
 def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
               config: TreeConfig | None = None, **overrides) -> PLTree:
-    """Grow a partition tree over the groups (see module docstring)."""
+    """Grow a partition tree over the groups (see module docstring).
+
+    Raises:
+        ModelError: the pooled fit of the root fails.  A node whose chosen
+            split has a child that cannot be fitted stays a leaf, with the
+            reason in its ``stop_reason``.
+    """
     if config is None:
         config = TreeConfig()
     if overrides:
@@ -484,11 +532,8 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
 
     counter = itertools.count(1)
 
-    def build(group_ids: np.ndarray, depth: int) -> PLNode:
-        node = PLNode(node_id=next(counter), depth=depth,
-                      n_groups=len(group_ids), group_ids=group_ids)
-        sub_rows = np.isin(grouped.group_index, group_ids)
-        idx = np.flatnonzero(sub_rows)
+    def node_data(group_ids: np.ndarray) -> GroupedRankings:
+        idx = np.flatnonzero(np.isin(grouped.group_index, group_ids))
         table = grouped.rankings
         sub_table = RankingsTable(table.items, table.ranks[idx],
                                   table.weights[idx], table.na_mask[idx])
@@ -496,13 +541,21 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
         remap = {gid: k + 1 for k, gid in enumerate(group_ids)}
         sub_gidx = np.array([remap[gid] for gid in grouped.group_index[idx]],
                             dtype=np.int64)
-        sub_grouped = GroupedRankings(sub_table, sub_gidx)
-        node_fit = fit(sub_table, config.fit_config)
-        node.fit_result = node_fit
+        return GroupedRankings(sub_table, sub_gidx)
 
-        if depth >= config.maxdepth or len(group_ids) < 2 * config.minsize:
+    def build(group_ids: np.ndarray, depth: int, sub_grouped: GroupedRankings,
+              node_fit: ModelFit) -> PLNode:
+        node = PLNode(node_id=next(counter), depth=depth,
+                      n_groups=len(group_ids), group_ids=group_ids,
+                      fit_result=node_fit)
+        if depth >= config.maxdepth:
+            node.stop_reason = "maximum depth"
+            return node
+        if len(group_ids) < 2 * config.minsize:
+            node.stop_reason = "too few groups to split"
             return node
         if config.alpha <= 0.0:
+            node.stop_reason = "alpha is zero"
             return node
 
         scores = score_contributions(sub_grouped, node_fit)
@@ -516,28 +569,40 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
                           for p, name, stat in tests)
         p_adj, name, stat, p_raw = adjusted[0]
         if p_adj >= config.alpha:
+            node.stop_reason = "no significant instability"
             return node
 
-        fitter = _NodeFitter(sub_table, sub_gidx, config.fit_config, max_tie_order)
-        found = best_split(sub_grouped, sub_cov[name], config, fitter,
-                           max_tie_order)
+        tally = {}
+        found = best_split(sub_grouped, sub_cov[name], config, max_tie_order,
+                           tally=tally)
+        node.n_inadmissible = tally["inadmissible"]
+        node.n_unconverged = tally["unconverged"]
         if found is None:
+            node.stop_reason = f"no admissible split on {name!r}"
             return node
         split, _ = found
         split = Split(split.covariate, split.kind, split.threshold,
                       split.left_levels, split.right_levels,
                       statistic=stat, p_value=p_adj)
 
-        cov_vals = sub_cov[name].values
-        left_local = np.array([split.goes_left(v) for v in cov_vals])
-        left_ids = np.asarray(group_ids)[left_local]
-        right_ids = np.asarray(group_ids)[~left_local]
+        left_local = np.array([split.goes_left(v) for v in sub_cov[name].values])
+        children = []
+        for ids in (np.asarray(group_ids)[left_local], np.asarray(group_ids)[~left_local]):
+            data = node_data(ids)
+            try:
+                child_fit = fit(data.rankings, config.fit_config)
+            except ModelError as exc:
+                node.stop_reason = f"child of {split.describe()} cannot be fitted: {exc}"
+                return node
+            children.append((ids, data, child_fit))
         node.split = split
-        node.left = build(left_ids, depth + 1)
-        node.right = build(right_ids, depth + 1)
+        node.left, node.right = (build(ids, depth + 1, data, child_fit)
+                                 for ids, data, child_fit in children)
         return node
 
-    root = build(np.arange(1, grouped.n_groups + 1), 1)
+    root_ids = np.arange(1, grouped.n_groups + 1)
+    root_data = node_data(root_ids)
+    root = build(root_ids, 1, root_data, fit(root_data.rankings, config.fit_config))
     return PLTree(root, grouped.rankings.items, tuple(covariates.names()), config)
 
 

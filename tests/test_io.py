@@ -117,6 +117,13 @@ class TestRankCsv:
         with pytest.raises(DataError, match="weight column 'n' not found"):
             rw.read_rank_csv(path, weights_col="n")
 
+    def test_ambiguous_weight_column_rejected(self, tmp_path):
+        path = tmp_path / "two_weights.csv"
+        path.write_text("a,b,weight,count\n1,2,0.5,3\n2,1,1,2\n")
+        with pytest.raises(DataError, match="'weight' is ambiguous"):
+            rw.read_rank_csv(path, weights_col="count")
+        assert rw.read_rank_csv(path, weights_col="weight").items == ("a", "b", "count")
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1"])
     def test_bad_weight_cell_rejected(self, tmp_path, cell):
         path = tmp_path / "bad_weight.csv"
@@ -137,6 +144,15 @@ class TestCovariatesCsv:
         assert frame["temp"].kind == "numeric"
         # rows sorted by group id
         assert frame["season"].values == ("dry", "wet")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_numeric_rejected(self, tmp_path, cell):
+        from rankworth.io import read_covariates_csv
+
+        path = tmp_path / "covs.csv"
+        path.write_text(f"group,temp\n1,18.5\n2,{cell}\n")
+        with pytest.raises(DataError, match="'temp' has a missing or infinite"):
+            read_covariates_csv(path)
 
     def test_bad_group_ids(self, tmp_path):
         from rankworth.io import read_covariates_csv

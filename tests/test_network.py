@@ -88,6 +88,18 @@ class TestConnectivity:
             assert rep.csize == tuple(membership.count(c) for c in range(1, len(ids) + 1))
             assert rep.no == len(ids)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-3, 1.0, 1e6, 1e12])
+    def test_weight_scale_does_not_change_components(self, pudding, scale):
+        base = rw.connectivity(rw.adjacency(pudding))
+        scaled = rw.connectivity(rw.adjacency(pudding.with_weights(pudding.weights * scale)))
+        assert scaled == base
+        assert scaled.no == 1
+
+    def test_tiny_two_cycle_is_one_component(self):
+        counts = np.array([[0.0, 1e-8], [1e-8, 0.0]])
+        rep = rw.connectivity(rw.AdjacencyMatrix(("a", "b"), counts))
+        assert rep.no == 1
+
     def test_two_clusters(self, disconnected):
         rep = rw.connectivity(rw.adjacency(disconnected))
         assert rep.no == 2

@@ -1,6 +1,7 @@
 """Partitioning trees: score contributions, fluctuation tests, split
 search, growth invariants, prediction, and serialization."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -186,6 +187,105 @@ class TestBestSplit:
         cov = rw.Covariate("x", (1.0, 2.0, 3.0, 4.0), "numeric")
         config = rw.TreeConfig(minsize=3, maxdepth=2)
         assert quiet(rw.best_split, grouped, cov, config) is None
+
+
+def child_loglik_oracle(grouped, left_groups, npseudo):
+    """Sum of the two children's data log-likelihoods, each child fitted on
+    its own sub-table by ``fit``."""
+    total = 0.0
+    for side in (left_groups, ~left_groups):
+        rows = side[grouped.group_index - 1]
+        t = grouped.rankings
+        sub = rw.RankingsTable(t.items, t.ranks[rows], t.weights[rows], t.na_mask[rows])
+        total += quiet(rw.fit, sub, npseudo=npseudo).log_likelihood
+    return total
+
+
+class TestBatchedSplitOracle:
+    """Every candidate child refitted independently with ``fit`` agrees
+    with the batched search at its choice, and none beats it."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        rng = np.random.default_rng(112)
+        x = np.round(rng.uniform(0, 1, 40), 2)
+        labels = np.array(["a", "b", "c", "d"])[rng.integers(0, 4, 40)]
+        grouped = make_grouped(
+            rng, 40, lambda g: np.array([0.0, 1.0, 0.0, -1.0]) * (1 if x[g] <= 0.5 else -1))
+        covs = rw.CovariateFrame.from_dict({"x": x, "lab": labels})
+        return grouped, covs
+
+    @pytest.mark.parametrize("name", ["x", "lab"])
+    def test_objective_matches_independent_fits(self, design, name):
+        grouped, covs = design
+        config = rw.TreeConfig(minsize=5)
+        cov = covs[name]
+        values = np.array(cov.values, dtype=object)
+        if cov.kind == "numeric":
+            xs = np.unique(np.array(cov.values))
+            cands = [(rw.Split(name, "numeric", threshold=0.5 * (a + b)),
+                      np.array(cov.values) <= 0.5 * (a + b))
+                     for a, b in zip(xs[:-1], xs[1:])]
+        else:
+            levels = cov.levels()
+            cands = []
+            for r in range(len(levels) - 1):
+                for extra in itertools.combinations(levels[1:], r):
+                    left = frozenset({levels[0], *extra})
+                    cands.append((rw.Split(name, cov.kind, left_levels=left,
+                                           right_levels=frozenset(levels) - left),
+                                  np.isin(values, list(left))))
+        oracle = {split: child_loglik_oracle(grouped, mask, config.fit_config.npseudo)
+                  for split, mask in cands
+                  if config.minsize <= mask.sum() <= len(mask) - config.minsize}
+        assert len(oracle) >= 7
+        split, objective = quiet(rw.best_split, grouped, cov, config)
+        tol = config.fit_config.tol * abs(objective)
+        assert objective == pytest.approx(oracle[split], abs=tol)
+        assert max(oracle.values()) <= objective + tol
+
+
+class TestInadmissibleCandidates:
+    def test_child_without_wins_is_skipped(self):
+        # 60 groups x 2 strict rankings at npseudo = 0: some 3-group
+        # children leave an item without a win, which used to abort the tree
+        rng = np.random.default_rng(1)
+        x = rng.uniform(0, 1, 60)
+        w_lo = np.array([0.0, 1.5, 0.0, -1.5])
+        grouped = make_grouped(rng, 60, lambda g: w_lo if x[g] <= 0.5 else -w_lo)
+        covs = rw.CovariateFrame.from_dict({"x": x})
+        fit_config = rw.FitConfig(npseudo=0)
+        tree = quiet(rw.grow_tree, grouped, covs, minsize=3, maxdepth=3,
+                     fit_config=fit_config)
+        root = tree.root
+        assert root.n_inadmissible > 0
+        assert root.split is not None and root.split.covariate == "x"
+        assert x[x <= 0.5].max() <= root.split.threshold <= x[x > 0.5].min()
+        tally = {}
+        found = quiet(rw.best_split, grouped, covs["x"],
+                      rw.TreeConfig(minsize=3, fit_config=fit_config), tally=tally)
+        assert found[0].threshold == root.split.threshold
+        assert tally["inadmissible"] == root.n_inadmissible
+
+    def test_disconnected_child_stops_with_reason(self):
+        # each side alone ranks {a, b} above {c, d}; only the pooled data
+        # connects the network, so the pure split has unfittable children
+        side = {0: [[1, 2, 3, 4], [2, 1, 4, 3]], 1: [[3, 4, 1, 2], [4, 3, 2, 1]]}
+        rows, gidx = [], []
+        for g in range(40):
+            for row in side[g % 2]:
+                rows.append(row)
+                gidx.append(g + 1)
+        table = rw.from_rank_matrix(np.array(rows), list("abcd"))
+        grouped = rw.group_rankings(table, gidx)
+        covs = rw.CovariateFrame.from_dict({"x": [g % 2 for g in range(40)]})
+        tree = quiet(rw.grow_tree, grouped, covs, minsize=5,
+                     fit_config=rw.FitConfig(npseudo=0))
+        root = tree.root
+        assert root.is_leaf
+        assert root.n_inadmissible == 0
+        assert "x <= 0.5 cannot be fitted" in root.stop_reason
+        assert "not fully connected" in root.stop_reason
 
 
 class TestGrowTree:
