@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import sys
 import warnings
+from io import StringIO
 
 import click
 import numpy as np
@@ -41,31 +42,33 @@ def _handle_errors(func):
                 result = func(*args, **kwargs)
             _forward_warnings(wlist)
             return result
-        except DataError as exc:
+        except (DataError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(INPUT_ERROR)
         except ModelError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(MODEL_ERROR)
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(INPUT_ERROR)
 
     return wrapper
 
 
+def _soc_table(source) -> RankingsTable:
+    """A strict-orders file (path or text stream), items sorted by name."""
+    orderings, freqs = io.read_preflib_soc(source)
+    items = sorted({name for row in orderings.rows for slot in row for name in slot})
+    return from_orderings(orderings, items, weights=freqs)
+
+
 def _load_table(path: str, weights_col: str | None = None) -> RankingsTable:
     if path.endswith(".soc"):
-        orderings, freqs = io.read_preflib_soc(path)
-        items = sorted({name for row in orderings.rows for slot in row for name in slot})
-        return from_orderings(orderings, items, weights=freqs)
+        return _soc_table(path)
     return io.read_rank_csv(path, weights_col)
 
 
 def _fit_options(func):
     for dec in [
         click.option("--npseudo", default=0.5, show_default=True,
-                     help="Weight of each ghost pseudo-ranking; 0 = plain MLE."),
+                     help="Weight of each pseudo-comparison with the ghost item; 0 = plain MLE."),
         click.option("--method", default="iterative_scaling", show_default=True,
                      type=click.Choice(["iterative_scaling", "quasi_newton",
                                         "limited_memory_quasi_newton"])),
@@ -110,12 +113,7 @@ def convert(source, output, url):
         import urllib.request
 
         with urllib.request.urlopen(source) as resp:
-            text = resp.read().decode("utf-8")
-        import io as _stdio
-
-        orderings, freqs = io.read_preflib_soc(_stdio.StringIO(text))
-        items = sorted({n for row in orderings.rows for slot in row for n in slot})
-        table = from_orderings(orderings, items, weights=freqs)
+            table = _soc_table(StringIO(resp.read().decode("utf-8")))
     else:
         table = _load_table(source)
     io.write_rank_csv(table, output)

@@ -11,10 +11,11 @@ parameterization (one log-worth pinned at zero) using the exact gradient
 observed - expected.
 
 Fitting at ``npseudo = 0`` is maximum likelihood and requires a strongly
-connected win/loss network.  With ``npseudo > 0`` (default 0.5), ghost
-pseudo-rankings are appended, every parameter is estimable, and estimates
-shrink toward equal worth; reported log-likelihoods always exclude the
-pseudo-rankings.
+connected win/loss network.  With ``npseudo > 0`` (default 0.5), each
+item wins once and loses once against a hypothetical ghost item, each
+comparison of weight ``npseudo``.  These pseudo-comparisons are engine
+events, so every parameter is estimable and estimates shrink toward equal
+worth; reported log-likelihoods always exclude them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import scipy.optimize
 
 from .errors import DataError, ModelError
 from .likelihood import EventSet, Parameters
-from .network import adjacency, augment_with_pseudo_rankings, connectivity
+from .network import adjacency, connectivity
 from .rankings import RankingsTable
 
 __all__ = [
@@ -55,8 +56,8 @@ class FitConfig:
     """Fitting options.
 
     Attributes:
-        npseudo: weight of each ghost pseudo-ranking (0 disables them and
-            requests plain maximum likelihood).
+        npseudo: weight of each pseudo-comparison with the ghost item (0
+            disables them and requests plain maximum likelihood).
         method: one of "iterative_scaling" (default), "quasi_newton",
             "limited_memory_quasi_newton".
         maxit: maximum number of iterative-scaling sweeps / optimizer
@@ -92,9 +93,9 @@ class FitConfig:
 class ModelFit:
     """A fitted model.
 
-    ``params`` is on the internal scale: one log-worth per column of the
-    (possibly ghost-augmented) table, normalized so the worths sum to one,
-    plus log tie parameters.  ``log_likelihood`` is evaluated on the data
+    ``params`` is on the internal scale: one log-worth per item, then the
+    ghost's when ``has_ghost``, normalized so the worths sum to one, plus
+    log tie parameters.  ``log_likelihood`` is evaluated on the data
     rows only.  The covariance matrix is computed lazily by the inference
     module via the retained event structure; a fit read back from JSON has
     ``events=None`` and must be refitted for inference.
@@ -123,8 +124,7 @@ class ModelFit:
     @property
     def n_free_params(self) -> int:
         """Free parameters: item contrasts plus tie prevalences."""
-        n_cols = self.params.n_items
-        return (n_cols - 1) + (self.max_tie_order - 1)
+        return (self.params.n_items - 1) + (self.max_tie_order - 1)
 
     def real_log_worth(self) -> np.ndarray:
         return self.params.log_worth[: self.n_real_items]
@@ -238,8 +238,7 @@ def _scaling_update(params: Parameters, obs: np.ndarray, exp: np.ndarray) -> Par
 
 
 def _start_theta(events: EventSet, config: FitConfig) -> np.ndarray:
-    p = Parameters.uniform(events.n_items, events.max_tie_order, config.tie_start)
-    return p.theta()
+    return Parameters.uniform(events.n_items, events.max_tie_order, config.tie_start).theta()
 
 
 def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
@@ -333,12 +332,10 @@ def _quasi_newton(events: EventSet, config: FitConfig) -> tuple[np.ndarray, bool
         opts.update({"ftol": 1e-14, "gtol": config.tol * 1e-2, "maxcor": 25})
     res = scipy.optimize.minimize(negloglik, x0, jac=neggrad,
                                   method=scipy_method, options=opts)
-    if not res.success and "precision loss" not in str(res.message).lower():
-        status = str(res.message)
-        if res.nit >= config.maxit:
-            pass    # treated as non-convergence below
-        else:
-            raise ModelError(f"quasi-Newton optimization failed: {status}")
+    # reaching maxit is non-convergence, reported below
+    if (not res.success and "precision loss" not in str(res.message).lower()
+            and res.nit < config.maxit):
+        raise ModelError(f"quasi-Newton optimization failed: {res.message}")
     theta = _normalize_worth(unpack(res.x), j)
     exp = events.expected(theta, w)
     converged = bool(_discrepancy(obs, exp) <= config.tol)
@@ -350,8 +347,9 @@ def fit(table: RankingsTable, config: FitConfig | None = None,
     """Fit the ranking model to a table.
 
     With ``npseudo = 0`` this is maximum likelihood and the win/loss
-    network must be strongly connected.  With ``npseudo > 0`` ghost
-    pseudo-rankings are appended before fitting.  Keyword overrides update
+    network must be strongly connected.  With ``npseudo > 0`` the
+    pseudo-comparisons with the ghost item enter the likelihood, and the
+    ghost's log-worth is the last one of ``params``.  Keyword overrides update
     individual :class:`FitConfig` fields.
 
     Raises:
@@ -365,26 +363,15 @@ def fit(table: RankingsTable, config: FitConfig | None = None,
     if weights is not None:
         table = table.with_weights(weights)
 
-    usable = (~table.na_mask) & (table.weights > 0)
-    if not usable.any():
+    if not ((~table.na_mask) & (table.weights > 0)).any():
         raise DataError("no usable rankings: all rows are NA or zero-weight")
 
     max_tie = table.max_tie_order()
 
-    if config.npseudo == 0:
-        report = connectivity(adjacency(table))
-        if not report.strongly_connected:
-            raise ModelError(NOT_CONNECTED_MESSAGE)
-        augmented = table
-        has_ghost = False
-        pseudo_mask = None
-    else:
-        augmented = augment_with_pseudo_rankings(table, config.npseudo)
-        has_ghost = True
-        pseudo_mask = np.zeros(augmented.n_rows, dtype=bool)
-        pseudo_mask[table.n_rows:] = True
+    if config.npseudo == 0 and not connectivity(adjacency(table)).strongly_connected:
+        raise ModelError(NOT_CONNECTED_MESSAGE)
 
-    events = EventSet(augmented, max_tie, pseudo_mask=pseudo_mask,
+    events = EventSet(table, max_tie, npseudo=config.npseudo,
                       allow_high_tie_orders=config.allow_high_tie_orders)
 
     if config.method == "iterative_scaling":
@@ -400,7 +387,7 @@ def fit(table: RankingsTable, config: FitConfig | None = None,
     return ModelFit(
         params=params,
         items=table.items,
-        has_ghost=has_ghost,
+        has_ghost=config.npseudo > 0,
         converged=converged,
         iterations=iterations,
         log_likelihood=ll_data,

@@ -9,7 +9,7 @@ approximates the variance of the simple contrast between items i and j for
 every pair, and comparison intervals built from them can be read pairwise.
 
 The covariance matrix comes from the analytic observed information of the
-log-likelihood (including any pseudo-rankings), which for this model
+log-likelihood (including any pseudo-comparisons), which for this model
 coincides with the information of the equivalent expanded-count log-linear
 model; the expansion itself is retained as a test oracle only.
 """
@@ -85,16 +85,12 @@ def vcov(fit: ModelFit, ref=0) -> np.ndarray:
     j_all = fit.params.n_items
     j = fit.n_real_items
     n_tie = fit.max_tie_order - 1
-    u_real = fit._ref_weights(ref)
     u = np.zeros(j_all)
-    u[:j] = u_real
+    u[:j] = fit._ref_weights(ref)
     # rows: real-item contrasts (log a_i - u . log a), then ties unchanged
     a = np.zeros((j + n_tie, j_all + n_tie))
-    for i in range(j):
-        a[i, i] = 1.0
-        a[i, :j_all] -= u
-    for t in range(n_tie):
-        a[j + t, j_all + t] = 1.0
+    a[:j, :j_all] = np.eye(j, j_all) - u
+    a[j:, j_all:] = np.eye(n_tie)
     return a @ padded @ a.T
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +35,16 @@ __all__ = [
 MODEL_JSON_VERSION = 1
 
 
+@dataclass
 class SocFile:
     """Parsed strict-orders file."""
 
-    def __init__(self, item_names: list[str], frequencies: np.ndarray,
-                 orderings: list[list[str]], voters: int, vote_sum: int,
-                 unique_orders: int):
-        self.item_names = item_names
-        self.frequencies = frequencies
-        self.orderings = orderings
-        self.voters = voters
-        self.vote_sum = vote_sum
-        self.unique_orders = unique_orders
+    item_names: list[str]
+    frequencies: np.ndarray
+    orderings: list[list[str]]
+    voters: int
+    vote_sum: int
+    unique_orders: int
 
 
 def _split_id_name(line: str) -> tuple[str, str]:
@@ -279,15 +278,58 @@ def write_model_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _fit_from_dict(d: dict) -> ModelFit:
-    """Inverse of :func:`_fit_to_dict`; the fit carries no event structure."""
-    npseudo = float(d["npseudo"])
+_NUMBER = (int, float)
+# keys of a fit in a model file and their types; [t] is a list of t
+_FIT_KEYS = {"items": [str], "has_ghost": bool, "log_worth": [_NUMBER],
+             "log_tie": [_NUMBER], "converged": bool, "iterations": int,
+             "log_likelihood": _NUMBER, "npseudo": _NUMBER, "method": str,
+             "df_outcomes": _NUMBER}
+
+
+def _checked(d, keys: dict, where: str) -> dict:
+    """``d``, once it is an object holding every key of ``keys`` with a
+    value of its type (a boolean is never a number)."""
+    def is_a(value, t):
+        if isinstance(t, list):
+            return isinstance(value, list) and all(is_a(v, t[0]) for v in value)
+        return isinstance(value, bool) == (t is bool) and isinstance(value, t)
+
+    if not isinstance(d, dict):
+        raise DataError(f"malformed model file: {where} is not an object")
+    for key, t in keys.items():
+        if key not in d:
+            raise DataError(f"malformed model file: {where} has no {key!r}")
+        if not is_a(d[key], t):
+            raise DataError(f"malformed model file: {where} {key!r} has the wrong type")
+    return d
+
+
+def _fit_from_dict(d: dict, where: str = "fit") -> ModelFit:
+    """Inverse of :func:`_fit_to_dict`; the fit carries no event structure.
+
+    Raises:
+        DataError: a key is missing or of the wrong type, or the lengths
+            disagree: one log-worth per item, plus the ghost's exactly when
+            ``npseudo > 0``, and fewer tie parameters than items.
+    """
+    d = _checked(d, _FIT_KEYS, where)
+    items, has_ghost, npseudo = d["items"], d["has_ghost"], float(d["npseudo"])
+    n_worth, n_tie = len(d["log_worth"]), len(d["log_tie"])
+    for bad, problem in (
+            (not items or len(set(items)) < len(items), "items are empty or repeated"),
+            (has_ghost != (npseudo > 0), f"has_ghost is {has_ghost} with npseudo {npseudo}"),
+            (n_worth != len(items) + has_ghost, f"has {n_worth} log-worths for "
+             f"{len(items)} items" + (" and the ghost" if has_ghost else "")),
+            (n_tie >= len(items), f"has {n_tie} tie parameters for {len(items)} items")):
+        if bad:
+            raise DataError(f"malformed model file: {where} {problem}")
     return ModelFit(
-        params=Parameters(np.array(d["log_worth"]), np.array(d["log_tie"])),
-        items=tuple(d["items"]),
-        has_ghost=bool(d["has_ghost"]),
-        converged=bool(d["converged"]),
-        iterations=int(d["iterations"]),
+        params=Parameters(np.array(d["log_worth"], dtype=float),
+                          np.array(d["log_tie"], dtype=float)),
+        items=tuple(items),
+        has_ghost=has_ghost,
+        converged=d["converged"],
+        iterations=d["iterations"],
         log_likelihood=float(d["log_likelihood"]),
         npseudo=npseudo,
         method=d["method"],
@@ -303,12 +345,18 @@ def read_model_json(path):
     metrics work, but standard errors and quasi-variances need a refit.
 
     Raises:
-        DataError: unknown kind or version mismatch.
+        DataError: the file is not JSON, its kind or version is unknown, or
+            its content is malformed (see :func:`_fit_from_dict` and
+            :func:`~rankworth.tree.tree_from_dict`).
     """
-    from .tree import PLTree, tree_from_dict
+    from .tree import tree_from_dict
 
     with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
+        try:
+            d = json.load(fh)
+        except (ValueError, RecursionError) as exc:   # syntax, UTF-8 or nesting
+            raise DataError(f"model file is not valid JSON: {exc}") from exc
+    _checked(d, {}, "the top level")
     version = d.get("version")
     if version != MODEL_JSON_VERSION:
         raise DataError(f"unsupported model file version: {version!r}")

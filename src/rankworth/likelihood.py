@@ -43,8 +43,8 @@ MAX_TIE_ORDER = 4
 class Parameters:
     """Model parameters on the log scale.
 
-    ``log_worth`` has one entry per item column (including a ghost column
-    when present); ``log_tie`` holds log(delta_n) for n = 2..D.  The
+    ``log_worth`` has one entry per item (the ghost, when present, comes
+    last); ``log_tie`` holds log(delta_n) for n = 2..D.  The
     implied maximum tie order is ``D = len(log_tie) + 1``.
     """
 
@@ -77,11 +77,6 @@ class Parameters:
         return cls(np.full(n_items, -np.log(n_items)),
                    np.full(max_tie_order - 1, np.log(tie_start)))
 
-    def normalized_worth(self) -> np.ndarray:
-        """Worths on the probability scale, summing to one."""
-        w = np.exp(self.log_worth - self.log_worth.max())
-        return w / w.sum()
-
 
 class EventSet:
     """Flat, deduplicated representation of all choice events of a table.
@@ -95,26 +90,31 @@ class EventSet:
     arbitrary event weightings (the tree code re-weights events per group
     without rebuilding).
 
+    With ``npseudo > 0`` a ghost item is parameter J, after the J items.
+    Its pseudo-comparisons "i beats ghost" and "ghost beats i" (weight
+    ``npseudo`` each) are J fixed events {i, ghost} after the data events,
+    in item order: weight 2 * npseudo each, observed credit npseudo for
+    every item and J * npseudo for the ghost.
+
     Attributes:
-        w_data / w_pseudo: per-event weight from data rows / pseudo rows.
-        obs_data / obs_pseudo: observed sufficient statistic vectors.
+        w_data / w_pseudo: per-event weight from table rows / pseudo-comparisons.
+        obs_data / obs_pseudo: observed sufficient statistics from each.
         noutcomes: possible outcomes per event.
     """
 
     def __init__(self, table: RankingsTable, max_tie_order: int,
-                 pseudo_mask=None, group_index=None,
+                 npseudo: float = 0.0, group_index=None,
                  allow_high_tie_orders: bool = False):
         if max_tie_order > MAX_TIE_ORDER and not allow_high_tie_orders:
             raise DataError(
                 f"ties up to order {max_tie_order} requested; orders above "
                 f"{MAX_TIE_ORDER} must be enabled explicitly")
-        self.items = table.items
-        self.n_items = table.n_items
+        if npseudo < 0:
+            raise DataError("npseudo must be non-negative")
+        n_real = table.n_items
+        self.n_items = n_items = n_real + (npseudo > 0)
         self.max_tie_order = max_tie_order
-        self.n_params = table.n_items + (max_tie_order - 1)
-
-        if pseudo_mask is None:
-            pseudo_mask = np.zeros(table.n_rows, dtype=bool)
+        self.n_params = n_items + (max_tie_order - 1)
 
         want_groups = group_index is not None
         n_groups = int(group_index.max()) if want_groups else 0
@@ -124,25 +124,19 @@ class EventSet:
         # flat accumulators, reduced with bincount after the row loop
         evw_id: list[int] = []
         evw_val: list[float] = []
-        evw_pseudo: list[float] = []
         obs_idx: list[int] = []
         obs_val: list[float] = []
-        obs_pseudo_val: list[float] = []
-        group_rows: list[int] = []
-        group_cols: list[int] = []
-        group_w: list[float] = []
-        g_obs_idx: list[int] = []
-        g_obs_val: list[float] = []
+        # with groups: the row and the number of observed entries of each record
+        rec_row: list[int] = []
+        rec_nobs: list[int] = []
 
         ranks = table.ranks
         na = table.na_mask
         wts = table.weights
-        n_items = self.n_items
         for i in range(table.n_rows):
             if na[i] or wts[i] == 0:
                 continue
             w = float(wts[i])
-            is_pseudo = bool(pseudo_mask[i])
             row = ranks[i]
             nz = np.flatnonzero(row)
             if nz.size < 2:
@@ -152,7 +146,6 @@ class EventSet:
             items_ord = nz[order].tolist()
             lvl_ord = levels[order].tolist()
             n = len(items_ord)
-            gi = int(group_index[i]) - 1 if (want_groups and not is_pseudo) else -1
             pos = 0
             while pos < n:
                 lvl = lvl_ord[pos]
@@ -172,42 +165,41 @@ class EventSet:
                     event_ids[alts] = eid
                     ev_alts.append(alts)
                 evw_id.append(eid)
-                evw_val.append(0.0 if is_pseudo else w)
-                evw_pseudo.append(w if is_pseudo else 0.0)
+                evw_val.append(w)
                 chosen = items_ord[pos:q]
                 share = w / k
                 for c in chosen:
                     obs_idx.append(c)
-                    obs_val.append(0.0 if is_pseudo else share)
-                    obs_pseudo_val.append(share if is_pseudo else 0.0)
+                    obs_val.append(share)
                 if k >= 2:
                     obs_idx.append(n_items + k - 2)
-                    obs_val.append(0.0 if is_pseudo else w)
-                    obs_pseudo_val.append(w if is_pseudo else 0.0)
-                if gi >= 0:
-                    group_rows.append(gi)
-                    group_cols.append(eid)
-                    group_w.append(w)
-                    base = gi * self.n_params
-                    for c in chosen:
-                        g_obs_idx.append(base + c)
-                        g_obs_val.append(share)
-                    if k >= 2:
-                        g_obs_idx.append(base + n_items + k - 2)
-                        g_obs_val.append(w)
+                    obs_val.append(w)
+                if want_groups:
+                    rec_row.append(i)
+                    rec_nobs.append(k + (k >= 2))
                 pos = q
 
+        n_data_events = len(ev_alts)
+        self.obs_pseudo = np.zeros(self.n_params)
+        if npseudo > 0:
+            ev_alts.extend((i, n_real) for i in range(n_real))
+            self.obs_pseudo[:n_real] = npseudo
+            # summed one by one as over table rows: J * npseudo may differ in the last bit
+            for _ in range(n_real):
+                self.obs_pseudo[n_real] += npseudo
         self.n_events = len(ev_alts)
         self.w_data = np.bincount(evw_id, weights=evw_val, minlength=self.n_events)
-        self.w_pseudo = np.bincount(evw_id, weights=evw_pseudo, minlength=self.n_events)
         self.obs_data = np.bincount(obs_idx, weights=obs_val, minlength=self.n_params)
-        self.obs_pseudo = np.bincount(obs_idx, weights=obs_pseudo_val, minlength=self.n_params)
+        self.w_pseudo = np.zeros(self.n_events)
+        self.w_pseudo[n_data_events:] = 2.0 * npseudo
         if want_groups:
+            rec_group = group_index[np.asarray(rec_row, dtype=np.int64)] - 1
             self.group_event_weights = sp.csr_matrix(
-                (group_w, (group_rows, group_cols)),
-                shape=(n_groups, self.n_events))
+                (evw_val, (rec_group, evw_id)), shape=(n_groups, self.n_events))
+            g_obs_idx = (np.repeat(rec_group, rec_nobs) * self.n_params
+                         + np.asarray(obs_idx, dtype=np.int64))
             self.group_obs = np.bincount(
-                g_obs_idx, weights=g_obs_val,
+                g_obs_idx, weights=obs_val,
                 minlength=n_groups * self.n_params).reshape(n_groups, self.n_params)
 
         self._build_subsets(ev_alts)
@@ -221,8 +213,7 @@ class EventSet:
             dtype=np.int64)
 
         blocks_event: list[np.ndarray] = []
-        blocks_items: list[np.ndarray] = []
-        blocks_k: list[int] = []
+        blocks_items: list[np.ndarray] = []                 # (n_b, k) each
         for m in np.unique(sizes):
             m = int(m)
             idx = np.flatnonzero(sizes == m)
@@ -232,7 +223,6 @@ class EventSet:
                 items = amat[:, tmpl]                       # (n_m, ncomb, k)
                 blocks_items.append(items.reshape(-1, k))
                 blocks_event.append(np.repeat(idx, tmpl.shape[0]))
-                blocks_k.append(k)
 
         sub_event = np.concatenate(blocks_event) if blocks_event else np.zeros(0, dtype=np.int64)
         order = np.argsort(sub_event, kind="stable")
@@ -244,20 +234,11 @@ class EventSet:
         inv = np.empty(n_sub, dtype=np.int64)
         inv[order] = np.arange(n_sub)
 
-        sub_k = np.concatenate([np.full(b.shape[0], k, dtype=np.int64)
-                                for b, k in zip(blocks_items, blocks_k)]) \
-            if blocks_items else np.zeros(0, dtype=np.int64)
-        self.sub_sizes = np.empty(n_sub, dtype=np.int64)
-        self.sub_sizes[inv] = sub_k
-
-        rows = []
-        cols = []
-        vals = []
+        rows, cols, vals = [], [], []
         offset = 0
-        for b, k in zip(blocks_items, blocks_k):
-            n_b = b.shape[0]
-            r = np.repeat(inv[offset:offset + n_b], k)
-            rows.append(r)
+        for b in blocks_items:
+            n_b, k = b.shape
+            rows.append(np.repeat(inv[offset:offset + n_b], k))
             cols.append(b.reshape(-1))
             vals.append(np.full(n_b * k, 1.0 / k))
             if k >= 2:

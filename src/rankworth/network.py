@@ -4,8 +4,9 @@ Each non-NA ranking implies directed "ranked higher than" edges between
 every pair of ranked items at different levels; ties imply no edge.  The
 maximum likelihood estimate of every log-worth is finite exactly when this
 directed network is strongly connected, so fitting at ``npseudo = 0``
-requires a connectivity check, and weakly connected data can instead be
-repaired by pseudo-rankings against a ghost item.
+requires a connectivity check.  Pseudo-comparisons with a ghost item make
+any data estimable; fitting adds them as events of the likelihood engine,
+and :func:`augment_with_pseudo_rankings` writes them out as table rows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Reserved column name for the ghost item; never shown in reports.
+# Column name of the ghost item in a table augmented with pseudo-rankings.
 GHOST_ITEM = "__ghost__"
 
 
@@ -76,11 +77,9 @@ def adjacency(table: RankingsTable) -> AdjacencyMatrix:
     j = table.n_items
     counts = np.zeros((j, j))
     for i in range(table.n_rows):
-        if table.na_mask[i]:
+        if table.na_mask[i] or table.weights[i] == 0:
             continue
         w = table.weights[i]
-        if w == 0:
-            continue
         row = table.ranks[i]
         ranked = np.flatnonzero(row > 0)
         r = row[ranked]
@@ -117,7 +116,8 @@ def augment_with_pseudo_rankings(table: RankingsTable, npseudo: float) -> Rankin
     comparisons "i > ghost" and "ghost > i" (weight ``npseudo`` each).
 
     The augmented win/loss network is strongly connected for any
-    ``npseudo > 0``; ``npseudo = 0`` returns the table unchanged.
+    ``npseudo > 0``; ``npseudo = 0`` returns the table unchanged.  Its
+    events are those of ``EventSet(table, D, npseudo=npseudo)``.
     """
     if npseudo < 0:
         raise DataError("npseudo must be non-negative")

@@ -94,14 +94,6 @@ class RankingsTable:
     def n_items(self) -> int:
         return self.ranks.shape[1]
 
-    @property
-    def n_active(self) -> int:
-        """Number of non-NA rows."""
-        return int((~self.na_mask).sum())
-
-    def row(self, i: int) -> np.ndarray:
-        return self.ranks[i]
-
     def max_tie_order(self) -> int:
         """Largest tie-group size over non-NA rows (1 if no ties / no rows)."""
         best = 1

@@ -39,7 +39,6 @@ from scipy.stats import chi2
 from .errors import DataError, ModelError
 from .fit import FitConfig, ModelFit, _iterative_scaling, _scaling_solve, fit
 from .likelihood import EventSet
-from .network import augment_with_pseudo_rankings
 from .rankings import GroupedRankings, RankingsTable
 
 __all__ = [
@@ -254,15 +253,6 @@ class PLTree:
         return "\n".join(lines)
 
 
-def _contrast_columns(n_real: int, n_params: int, has_ghost: bool) -> np.ndarray:
-    """Columns of the full statistic vector kept for score testing: all
-    real items except the first (reference), plus tie columns; a ghost
-    column is dropped (its per-group score is identically zero)."""
-    n_items = n_real + (1 if has_ghost else 0)
-    keep = list(range(1, n_real)) + list(range(n_items, n_params))
-    return np.array(keep, dtype=np.int64)
-
-
 def score_contributions(grouped: GroupedRankings, fitted: ModelFit) -> np.ndarray:
     """Per-group sums of (observed - expected) statistic contributions in
     the contrast parameterization, evaluated at the fitted parameters.
@@ -270,15 +260,12 @@ def score_contributions(grouped: GroupedRankings, fitted: ModelFit) -> np.ndarra
     Rows sum to the total data score, which is zero at an unpenalized
     maximum likelihood fit.
     """
-    table = grouped.rankings
-    d = fitted.max_tie_order
-    events = EventSet(table, d, group_index=grouped.group_index,
-                      allow_high_tie_orders=True)
+    events = EventSet(grouped.rankings, fitted.max_tie_order,
+                      group_index=grouped.group_index, allow_high_tie_orders=True)
     j = fitted.n_real_items
     theta = np.concatenate([fitted.params.log_worth[:j], fitted.params.log_tie])
-    scores = events.group_scores(theta)
-    keep = _contrast_columns(j, events.n_params, has_ghost=False)
-    return scores[:, keep]
+    # the first item is the reference of the contrasts
+    return events.group_scores(theta)[:, 1:]
 
 
 def suplm_pvalue(stat: float, dim: int, trim_lo: float = TRIM,
@@ -375,8 +362,9 @@ def best_split(grouped: GroupedRankings, covariate: Covariate,
     Numeric: midpoints of consecutive distinct sorted values; categorical:
     binary level subsets (ordinal: contiguous only).  Every candidate's
     two children are refitted, all at once: each child is a re-weighting
-    of one shared event structure (its groups' event weights plus the
-    full pseudo weights), and the children are solved as the columns of
+    of one shared event structure (its groups' event weights and observed
+    statistics, plus every pseudo-comparison with the ghost item at its
+    full weight), and the children are solved as the columns of
     one iterative-scaling problem, every column started from the node's
     pooled fit.  A candidate whose child has no scaling update (an item
     without wins or tie credit) is inadmissible and skipped.
@@ -395,16 +383,8 @@ def best_split(grouped: GroupedRankings, covariate: Covariate,
     if tally is not None:
         tally.update(inadmissible=0, unconverged=0)
 
-    if fit_config.npseudo > 0:
-        aug = augment_with_pseudo_rankings(table, fit_config.npseudo)
-        pseudo_mask = np.zeros(aug.n_rows, dtype=bool)
-        pseudo_mask[table.n_rows:] = True
-        gidx = np.concatenate([grouped.group_index,
-                               np.ones(2 * table.n_items, dtype=np.int64)])
-    else:
-        aug, pseudo_mask, gidx = table, None, grouped.group_index
-    events = EventSet(aug, max_tie_order, pseudo_mask=pseudo_mask,
-                      group_index=gidx,
+    events = EventSet(table, max_tie_order, npseudo=fit_config.npseudo,
+                      group_index=grouped.group_index,
                       allow_high_tie_orders=fit_config.allow_high_tie_orders)
     # per-group data, one row per group: event weights, then observed statistics
     stats = sp.hstack([events.group_event_weights, sp.csr_matrix(events.group_obs)],
@@ -560,14 +540,10 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
 
         scores = score_contributions(sub_grouped, node_fit)
         sub_cov = covariates.subset(np.asarray(group_ids) - 1)
-        tests = []
-        for cov in sub_cov.covariates:
-            stat, p = instability_test(scores, cov)
-            tests.append((p, cov.name, stat))
-        m = len(tests)
-        adjusted = sorted((min(1.0, p * m), name, stat, p)
-                          for p, name, stat in tests)
-        p_adj, name, stat, p_raw = adjusted[0]
+        tests = [(cov.name, *instability_test(scores, cov)) for cov in sub_cov.covariates]
+        # the smallest Bonferroni-adjusted p value, ties broken by name
+        p_adj, name, stat = min((min(1.0, p * len(tests)), name, stat)
+                                for name, stat, p in tests)
         if p_adj >= config.alpha:
             node.stop_reason = "no significant instability"
             return node
@@ -580,10 +556,7 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
         if found is None:
             node.stop_reason = f"no admissible split on {name!r}"
             return node
-        split, _ = found
-        split = Split(split.covariate, split.kind, split.threshold,
-                      split.left_levels, split.right_levels,
-                      statistic=stat, p_value=p_adj)
+        split = replace(found[0], statistic=stat, p_value=p_adj)
 
         left_local = np.array([split.goes_left(v) for v in sub_cov[name].values])
         children = []
@@ -657,29 +630,52 @@ def tree_to_dict(tree: PLTree) -> dict:
 
 
 def tree_from_dict(d: dict) -> PLTree:
-    from .io import _fit_from_dict
+    """Inverse of :func:`tree_to_dict`; leaf fits carry no event structure.
+
+    Raises:
+        DataError: a key is missing or of the wrong type (a numeric split
+            needs a threshold, any other its levels), a split's kind is
+            unknown, or a leaf's fit is malformed or has other items than
+            the tree.
+    """
+    from .io import _NUMBER, _checked, _fit_from_dict
+
+    d = _checked(d, {"items": [str], "covariates": [str], "minsize": int,
+                     "maxdepth": int, "alpha": _NUMBER, "root": dict}, "tree")
+    items = tuple(d["items"])
 
     def node_from(nd: dict, depth: int) -> PLNode:
-        node = PLNode(node_id=nd["node_id"], depth=depth,
-                      n_groups=nd["n_groups"],
+        nd = _checked(nd, {"node_id": int, "n_groups": int}, "tree node")
+        where = f"node {nd['node_id']}"
+        node = PLNode(node_id=nd["node_id"], depth=depth, n_groups=nd["n_groups"],
                       group_ids=np.zeros(0, dtype=np.int64))
         if "split" in nd:
-            s = nd["split"]
-            split = Split(s["covariate"], s["kind"], s["threshold"],
-                          frozenset(s["left_levels"]) if s["left_levels"] else None,
-                          frozenset(s["right_levels"]) if s.get("right_levels") else None,
-                          statistic=s["statistic"], p_value=s["p_value"])
-            node.split = split
+            nd = _checked(nd, {"split": dict, "left": dict, "right": dict}, where)
+            s = _checked(nd["split"], {"covariate": str, "kind": str,
+                                       "statistic": _NUMBER, "p_value": _NUMBER},
+                         f"{where} split")
+            kind = s["kind"]
+            if kind not in ("numeric", "categorical", "ordinal"):
+                raise DataError(f"malformed model file: {where} split has kind {kind!r}")
+            numeric = kind == "numeric"
+            _checked(s, {"threshold": _NUMBER} if numeric else
+                     {"left_levels": [str], "right_levels": [str]}, f"{where} split")
+            node.split = Split(s["covariate"], kind, s["threshold"] if numeric else None,
+                               None if numeric else frozenset(s["left_levels"]),
+                               None if numeric else frozenset(s["right_levels"]),
+                               statistic=s["statistic"], p_value=s["p_value"])
             node.left = node_from(nd["left"], depth + 1)
             node.right = node_from(nd["right"], depth + 1)
         else:
-            node.fit_result = _fit_from_dict(nd["fit"])
+            node.fit_result = _fit_from_dict(_checked(nd, {"fit": dict}, where)["fit"],
+                                             f"{where} fit")
+            if node.fit_result.items != items:
+                raise DataError(f"malformed model file: {where} fit has other "
+                                "items than the tree")
         return node
 
-    config = TreeConfig(minsize=d["minsize"], maxdepth=d["maxdepth"],
-                        alpha=d["alpha"])
-    return PLTree(node_from(d["root"], 1), tuple(d["items"]),
-                  tuple(d["covariates"]), config)
+    config = TreeConfig(minsize=d["minsize"], maxdepth=d["maxdepth"], alpha=d["alpha"])
+    return PLTree(node_from(d["root"], 1), items, tuple(d["covariates"]), config)
 
 
 def write_tree_plot_csv(tree: PLTree, path) -> None:

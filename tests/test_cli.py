@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ class TestConvertCommand:
         table = rw.read_rank_csv(out)
         assert table.n_rows == 24
         assert table.weights.sum() == 1256
+
+    def test_url_equals_path(self, runner, tmp_path):
+        # a file:// URL goes through the URL reader without a network
+        by_path, by_url = tmp_path / "path.csv", tmp_path / "url.csv"
+        source = Path(netflix_shape_soc_path())
+        assert runner.invoke(main, ["convert", str(source), "-o", str(by_path)]).exit_code == 0
+        result = runner.invoke(main, ["convert", source.resolve().as_uri(), "--url",
+                                      "-o", str(by_url)])
+        assert result.exit_code == 0
+        assert "wrote 24 rankings of 4 items" in result.output
+        assert by_url.read_bytes() == by_path.read_bytes()
 
 
 class TestTreeCommand:

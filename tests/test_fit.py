@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rankworth as rw
 from rankworth.errors import DataError, ModelError
@@ -135,6 +137,15 @@ class TestFit:
         assert m.log_likelihood == pytest.approx(direct, rel=1e-10)
         assert j == 5
 
+    def test_item_may_be_named_like_the_ghost(self, abcd):
+        # the ghost is a parameter of the engine, not a table column
+        t = rw.RankingsTable(("A", "B", "C", rw.GHOST_ITEM), abcd.ranks,
+                             abcd.weights, abcd.na_mask)
+        m = quiet_fit(t)
+        _, est = m.coef()
+        assert np.array_equal(est, quiet_fit(abcd).coef()[1])
+        assert m.coef()[0][3] == rw.GHOST_ITEM
+
 
 class TestQuasiNewton:
     def test_agrees_with_scaling_on_pudding(self, pudding):
@@ -251,3 +262,64 @@ class TestInvariants:
         p = Parameters(np.log([0.5, 0.5]), np.zeros(0))
         with pytest.raises(ModelError):
             _scaling_update(p, np.array([1.0, 1.0]), np.array([0.0, 2.0]))
+
+
+# Properties the model says an estimate cannot depend on, at npseudo 0.5
+# and at npseudo 0 on strongly connected tables; the fits stop at TOL, so
+# the estimates agree to within a hundred times that.
+TOL = 1e-10
+_examples = settings(max_examples=15, deadline=None, derandomize=True)
+
+
+def _table(seed: int, npseudo: float):
+    rng = np.random.default_rng(seed)
+    t = random_table(rng, n_items=4, n_rows=12, max_tie=2, partial=True)
+    t = t.with_weights(rng.uniform(0.5, 2.0, t.n_rows))
+    assume(npseudo > 0 or rw.connectivity(rw.adjacency(t)).strongly_connected)
+    return t
+
+
+def _theta(table, npseudo):
+    return quiet_fit(table, npseudo=npseudo, tol=TOL).params.theta()
+
+
+class TestInvarianceProperties:
+    @_examples
+    @given(seed=st.integers(0, 2**32 - 1), npseudo=st.sampled_from([0.0, 0.5]),
+           data=st.data())
+    def test_duplicate_rows_equal_doubled_weight(self, seed, npseudo, data):
+        t = _table(seed, npseudo)
+        dup = np.array(data.draw(st.lists(st.booleans(), min_size=t.n_rows,
+                                          max_size=t.n_rows)))
+        duplicated = rw.RankingsTable(
+            t.items, np.vstack([t.ranks, t.ranks[dup]]),
+            np.concatenate([t.weights, t.weights[dup]]),
+            np.concatenate([t.na_mask, t.na_mask[dup]]))
+        doubled = t.with_weights(np.where(dup, 2.0 * t.weights, t.weights))
+        assert np.allclose(_theta(duplicated, npseudo), _theta(doubled, npseudo),
+                           rtol=0, atol=100 * TOL)
+
+    @_examples
+    @given(seed=st.integers(0, 2**32 - 1), npseudo=st.sampled_from([0.0, 0.5]),
+           data=st.data())
+    def test_row_permutation(self, seed, npseudo, data):
+        t = _table(seed, npseudo)
+        perm = data.draw(st.permutations(range(t.n_rows)))
+        permuted = rw.RankingsTable(t.items, t.ranks[perm], t.weights[perm],
+                                    t.na_mask[perm])
+        assert np.allclose(_theta(permuted, npseudo), _theta(t, npseudo),
+                           rtol=0, atol=100 * TOL)
+
+    @_examples
+    @given(seed=st.integers(0, 2**32 - 1), npseudo=st.sampled_from([0.0, 0.5]),
+           data=st.data())
+    def test_item_permutation(self, seed, npseudo, data):
+        t = _table(seed, npseudo)
+        perm = data.draw(st.permutations(range(t.n_items)))
+        permuted = rw.RankingsTable(tuple(t.items[k] for k in perm),
+                                    t.ranks[:, perm], t.weights, t.na_mask)
+        base = _theta(t, npseudo)
+        # item k of the permuted table is item perm[k]; the ghost stays last
+        expected = np.concatenate([base[perm], base[t.n_items:]])
+        assert np.allclose(_theta(permuted, npseudo), expected,
+                           rtol=0, atol=100 * TOL)

@@ -1,5 +1,6 @@
 """File formats: strict-orders parsing, rankings CSV, model JSON."""
 
+import json
 import warnings
 
 import numpy as np
@@ -222,4 +223,60 @@ class TestModelJson:
         path = tmp_path / "k.json"
         path.write_text('{"kind": "mystery", "version": 1}')
         with pytest.raises(DataError, match="kind"):
+            rw.read_model_json(path)
+
+    @staticmethod
+    def _written(fit, tmp_path):
+        path = tmp_path / "model.json"
+        rw.write_model_json(fit, path)
+        return path, json.loads(path.read_text())
+
+    def test_dropped_item_name_rejected(self, pudding, tmp_path):
+        # 7 log-worths (6 items and the ghost) against 5 names: the ghost
+        # must not be read as a real item
+        path, d = self._written(quiet_fit(pudding), tmp_path)
+        d["items"].pop()
+        path.write_text(json.dumps(d))
+        with pytest.raises(DataError, match="7 log-worths for 5 items and the ghost"):
+            rw.read_model_json(path)
+
+    def test_truncated_file_rejected(self, pudding, tmp_path):
+        path, _ = self._written(quiet_fit(pudding), tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(DataError, match="not valid JSON"):
+            rw.read_model_json(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d.pop("log_tie"), "no 'log_tie'"),
+        (lambda d: d.update(iterations="7"), "'iterations' has the wrong type"),
+        (lambda d: d.update(converged=1), "'converged' has the wrong type"),
+        (lambda d: d.update(log_likelihood=True), "'log_likelihood' has the wrong type"),
+        (lambda d: d["log_worth"].__setitem__(0, "x"), "'log_worth' has the wrong type"),
+        (lambda d: d.update(has_ghost=False), "has_ghost is False with npseudo 0.5"),
+        (lambda d: d.update(npseudo=0.0), "has_ghost is True with npseudo 0.0"),
+        (lambda d: d.update(log_tie=[-1.0] * 6), "6 tie parameters for 6 items"),
+        (lambda d: d.update(items=["a"] * 6), "items are empty or repeated"),
+    ])
+    def test_inconsistent_fit_rejected(self, pudding, tmp_path, edit, match):
+        path, d = self._written(quiet_fit(pudding), tmp_path)
+        edit(d)
+        path.write_text(json.dumps(d))
+        with pytest.raises(DataError, match=match):
+            rw.read_model_json(path)
+
+    @pytest.mark.parametrize("text", [
+        b'{"kind": "fit", "version": 1, "items": ["\xff"]}',
+        b'{"kind": "tree", "version": 1, "root": ' + b'{"left": ' * 3000 + b'1' + b'}' * 3001,
+    ], ids=["not-utf8", "deeply-nested"])
+    def test_undecodable_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match="not valid JSON"):
+            rw.read_model_json(path)
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DataError, match="not an object"):
             rw.read_model_json(path)

@@ -337,3 +337,66 @@ class TestChoiceEvents:
         assert ev.n_events == 2
         assert ev.ev_sizes.tolist() == [3, 2]
         assert ev.obs_data.tolist() == [1.0, 0.5, 0.5, 1.0]
+
+
+class TestPseudoComparisons:
+    """Pseudo-comparisons with the ghost item are closed-form engine events:
+    exactly the events of the table augmented with pseudo-rankings."""
+
+    @staticmethod
+    def _groups(table):
+        return np.arange(table.n_rows) % 4 + 1
+
+    @pytest.mark.parametrize("c", [0.1, 0.5])
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("name", ["pudding", "abcd"])
+    def test_equals_augmented_table(self, name, grouped, c, request):
+        t = request.getfixturevalue(name)
+        d = t.max_tie_order()
+        aug = rw.augment_with_pseudo_rankings(t, c)
+        j = t.n_items
+        if grouped:
+            # the pseudo-rankings form one extra group of the augmented table
+            gidx = self._groups(t)
+            new = EventSet(t, d, npseudo=c, group_index=gidx)
+            old = EventSet(aug, d, group_index=np.concatenate(
+                [gidx, np.full(2 * j, gidx.max() + 1)]))
+        else:
+            new = EventSet(t, d, npseudo=c)
+            old = EventSet(aug, d)
+        assert (new.n_items, new.n_params, new.n_events) == (old.n_items, old.n_params,
+                                                             old.n_events)
+        assert np.array_equal(new.w_total, old.w_data)
+        assert np.array_equal(new.obs_total, old.obs_data)
+        assert np.array_equal(new.sub_event, old.sub_event)
+        assert np.array_equal(new.ev_ptr, old.ev_ptr)
+        assert np.array_equal(new.noutcomes, old.noutcomes)
+        assert np.array_equal(new.B.toarray(), old.B.toarray())
+        # data events first, then one {i, ghost} pair per item in item order
+        e = new.n_events - j
+        assert np.array_equal(new.w_data[e:], np.zeros(j))
+        assert np.array_equal(new.w_pseudo[:e], np.zeros(e))
+        assert np.array_equal(new.w_pseudo[e:], np.full(j, 2 * c))
+        assert new.ev_sizes[e:].tolist() == [2] * j
+        assert np.array_equal(new.obs_pseudo[:j], np.full(j, c))
+        assert new.obs_pseudo[j] == old.obs_data[j]
+        assert not new.obs_pseudo[j + 1:].any()
+        plain = EventSet(t, d)
+        assert np.array_equal(new.w_data[:e], plain.w_data)
+        assert np.array_equal(new.obs_data[:j], plain.obs_data[:j])
+        assert np.array_equal(new.obs_data[j + 1:], plain.obs_data[j:])
+        if grouped:
+            g = gidx.max()
+            assert np.array_equal(new.group_event_weights.toarray(),
+                                  old.group_event_weights[:g].toarray())
+            assert np.array_equal(new.group_obs, old.group_obs[:g])
+
+    def test_zero_npseudo_adds_nothing(self, pudding):
+        new, plain = EventSet(pudding, 2, npseudo=0.0), EventSet(pudding, 2)
+        assert new.n_params == plain.n_params
+        assert np.array_equal(new.w_data, plain.w_data)
+        assert not new.w_pseudo.any() and not new.obs_pseudo.any()
+
+    def test_negative_npseudo_rejected(self, abcd):
+        with pytest.raises(DataError, match="non-negative"):
+            EventSet(abcd, 1, npseudo=-0.5)

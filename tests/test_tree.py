@@ -2,6 +2,7 @@
 search, growth invariants, prediction, and serialization."""
 
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -399,6 +400,26 @@ class TestSerialization:
         nid2, w2 = rw.predict_node(loaded, {"x": 0.2, "noise": 0.0})
         assert nid1 == nid2
         assert np.allclose(w1, w2)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d["root"].pop("left"), "node 1 has no 'left'"),
+        (lambda d: d["root"]["split"].update(kind="spline"), "kind 'spline'"),
+        (lambda d: d["root"]["split"].update(threshold=None), "'threshold' has the wrong type"),
+        (lambda d: d["root"]["left"]["fit"]["items"].reverse(), "other items than the tree"),
+        (lambda d: d["root"]["right"]["fit"]["log_worth"].pop(),
+         "node 3 fit has 4 log-worths for 4 items and the ghost"),
+        (lambda d: d.update(minsize="25"), "'minsize' has the wrong type"),
+    ])
+    def test_malformed_tree_rejected(self, planted, tmp_path, edit, match):
+        grouped, covs, _ = planted
+        tree = quiet(rw.grow_tree, grouped, covs, minsize=25, maxdepth=2)
+        path = tmp_path / "tree.json"
+        rw.write_model_json(tree, path)
+        d = json.loads(path.read_text())
+        edit(d)
+        path.write_text(json.dumps(d))
+        with pytest.raises(DataError, match=match):
+            rw.read_model_json(path)
 
     def test_single_leaf_round_trip(self, planted, tmp_path):
         grouped, covs, _ = planted
