@@ -71,7 +71,9 @@ def _fit_options(func):
                      help="Weight of each pseudo-comparison with the ghost item; 0 = plain MLE."),
         click.option("--method", default="iterative_scaling", show_default=True,
                      type=click.Choice(["iterative_scaling", "quasi_newton",
-                                        "limited_memory_quasi_newton"])),
+                                        "limited_memory_quasi_newton"]),
+                     help="Iterative scaling, or Newton's method on the exact "
+                          "information (both quasi-Newton names select it)."),
         click.option("--maxit", default=500, show_default=True),
         click.option("--tol", default=1e-6, show_default=True),
     ][::-1]:

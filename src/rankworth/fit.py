@@ -1,14 +1,14 @@
 """Model fitting by iterative scaling (with Steffensen acceleration) or
-quasi-Newton ascent.
+a damped Newton method.
 
 Iterative scaling multiplies each worth and tie parameter by the ratio of
 its observed to expected sufficient statistic; convergence is declared
 when the two agree in relative terms.  Once the iterates are close, a
 componentwise Steffensen extrapolation is applied to pairs of scaling
-sweeps, with a log-likelihood guard so ascent is never lost.  The
-quasi-Newton routes maximize the same log-likelihood in an unconstrained
-parameterization (one log-worth pinned at zero) using the exact gradient
-observed - expected.
+sweeps, with a log-likelihood guard so ascent is never lost.  The Newton
+method maximizes the same log-likelihood with one log-worth pinned, using
+the exact gradient observed - expected and the exact information, and
+stops by the same convergence rule.
 
 Fitting at ``npseudo = 0`` is maximum likelihood and requires a strongly
 connected win/loss network.  With ``npseudo > 0`` (default 0.5), each
@@ -24,20 +24,13 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DataError, ModelError
 from .likelihood import EventSet, Parameters
 from .network import adjacency, connectivity
 from .rankings import RankingsTable
 
-__all__ = [
-    "FitConfig",
-    "ModelFit",
-    "fit",
-    "steffensen_accelerate",
-    "convergence_check",
-]
+__all__ = ["FitConfig", "ModelFit", "fit", "steffensen_accelerate", "convergence_check"]
 
 _METHODS = ("iterative_scaling", "quasi_newton", "limited_memory_quasi_newton")
 
@@ -50,6 +43,11 @@ NO_UPDATE_MESSAGE = ("an item has no wins or tie credit, or a positive observed 
                      "count has zero expectation; fit requires a strongly "
                      "connected network or npseudo > 0")
 
+# a Newton step is halved at most 50 times; it may lower the log-likelihood
+# by its rounding (relative 1e-12), which near the optimum exceeds any gain
+_MAX_HALVINGS = 50
+_LOGLIK_ROUNDING = 1e-12
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -58,11 +56,13 @@ class FitConfig:
     Attributes:
         npseudo: weight of each pseudo-comparison with the ghost item (0
             disables them and requests plain maximum likelihood).
-        method: one of "iterative_scaling" (default), "quasi_newton",
-            "limited_memory_quasi_newton".
-        maxit: maximum number of iterative-scaling sweeps / optimizer
-            iterations; reaching it warns and returns the current iterate.
-        tol: relative tolerance on observed vs expected sufficient stats.
+        method: "iterative_scaling" (default); "quasi_newton" and
+            "limited_memory_quasi_newton" both select the damped Newton
+            method (both names are kept for scripts and model files).
+        maxit: maximum number of iterative-scaling cycles / Newton steps;
+            reaching it warns and returns the current iterate.
+        tol: relative tolerance on observed vs expected sufficient stats
+            (see :func:`convergence_check`).
         steffensen_threshold: acceleration starts once the convergence
             measure falls below this value.
         tie_start: starting value for every tie prevalence parameter.
@@ -184,17 +184,18 @@ def _normalize_worth(theta: np.ndarray, n_items: int) -> np.ndarray:
     return out
 
 
-def convergence_check(obs, exp, tol: float) -> bool:
-    """True iff max_i |obs_i - exp_i| / max(1, |obs_i|) <= tol across all
-    item and tie statistics."""
-    return bool(_discrepancy(np.asarray(obs), np.asarray(exp)) <= tol)
+def convergence_check(obs, exp, tol: float, scale: float = 1.0) -> bool:
+    """True iff max_i |obs_i - exp_i| / max(scale, |obs_i|) <= tol across
+    all item and tie statistics.  Fits pass ``EventSet.weight_scale`` as
+    ``scale``, so the rule does not depend on the scale of the weights."""
+    return bool(_discrepancy(np.asarray(obs), np.asarray(exp), scale) <= tol)
 
 
-def _discrepancy(obs: np.ndarray, exp: np.ndarray):
-    """max_i |obs_i - exp_i| / max(1, |obs_i|), per column of 2-D input."""
+def _discrepancy(obs: np.ndarray, exp: np.ndarray, scale: float):
+    """max_i |obs_i - exp_i| / max(scale, |obs_i|), per column of 2-D input."""
     if obs.shape[0] == 0:
         return np.zeros(obs.shape[1:])
-    denom = np.maximum(1.0, np.abs(obs))
+    denom = np.maximum(scale, np.abs(obs))
     return np.max(np.abs(obs - exp) / denom, axis=0)
 
 
@@ -260,7 +261,7 @@ def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
     n_cols = w.shape[1]
     start = _start_theta(events, config) if theta0 is None else np.asarray(theta0, float)
     theta = _normalize_worth(np.repeat(start[:, None], n_cols, axis=1), j)
-    disc = _discrepancy(obs, events.expected(theta, w))
+    disc = _discrepancy(obs, events.expected(theta, w), events.weight_scale)
     converged = disc <= config.tol
     failed = np.zeros(n_cols, dtype=bool)
     iterations = np.zeros(n_cols, dtype=np.int64)
@@ -287,7 +288,7 @@ def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
         theta[:, active] = new
         iterations[active] = it
         failed[active] = bad
-        disc[active] = _discrepancy(oa, events.expected(new, wa))
+        disc[active] = _discrepancy(oa, events.expected(new, wa), events.weight_scale)
         converged[active] = (disc[active] <= config.tol) & ~bad
         active = active[~converged[active] & ~bad]
     return theta, converged, iterations, failed
@@ -301,45 +302,49 @@ def _iterative_scaling(events: EventSet, config: FitConfig) -> tuple[np.ndarray,
     return theta[:, 0], bool(converged[0]), int(iterations[0])
 
 
-def _quasi_newton(events: EventSet, config: FitConfig) -> tuple[np.ndarray, bool, int]:
-    obs = events.obs_total
-    w = events.w_total
-    j = events.n_items
-    if np.any(obs[j:] <= 0):
-        raise ModelError("a tie order in the model has no observed ties; "
-                         "quasi-Newton fitting cannot profile it")
+def _free_parameters(events: EventSet) -> np.ndarray:
+    """Mask of the parameters that Newton steps move and inference gives a
+    standard error: all but the first log-worth (pinned: worths have no
+    scale) and the log ties of unobserved tie orders (held at _LOG_FLOOR)."""
     free = np.ones(events.n_params, dtype=bool)
-    free[0] = False     # pin the first log-worth at zero
+    free[0] = False
+    free[events.n_items:] = events.obs_total[events.n_items:] > 0
+    return free
 
-    def unpack(x: np.ndarray) -> np.ndarray:
-        theta = np.zeros(events.n_params)
-        theta[free] = x
-        return theta
 
-    def negloglik(x):
-        return -events.loglik(unpack(x), w, obs)
-
-    def neggrad(x):
-        return -(obs - events.expected(unpack(x), w))[free]
-
-    x0 = _start_theta(events, config)
-    x0 = (x0 - x0[0] * np.concatenate([np.ones(j), np.zeros(events.n_params - j)]))[free]
-    scipy_method = "BFGS" if config.method == "quasi_newton" else "L-BFGS-B"
-    opts = {"maxiter": config.maxit}
-    if scipy_method == "BFGS":
-        opts["gtol"] = config.tol * 1e-2
-    else:
-        opts.update({"ftol": 1e-14, "gtol": config.tol * 1e-2, "maxcor": 25})
-    res = scipy.optimize.minimize(negloglik, x0, jac=neggrad,
-                                  method=scipy_method, options=opts)
-    # reaching maxit is non-convergence, reported below
-    if (not res.success and "precision loss" not in str(res.message).lower()
-            and res.nit < config.maxit):
-        raise ModelError(f"quasi-Newton optimization failed: {res.message}")
-    theta = _normalize_worth(unpack(res.x), j)
-    exp = events.expected(theta, w)
-    converged = bool(_discrepancy(obs, exp) <= config.tol)
-    return theta, converged, int(res.nit)
+def _newton(events: EventSet, config: FitConfig) -> tuple[np.ndarray, bool, int]:
+    """Damped Newton ascent on the free parameters: each step solves
+    information · step = observed - expected and is halved until the
+    log-likelihood does not fall (beyond rounding).  Stops when the
+    statistics meet ``tol``, at ``maxit``, or when no halving ascends."""
+    obs, w, j = events.obs_total, events.w_total, events.n_items
+    free = _free_parameters(events)
+    theta = _start_theta(events, config)
+    theta[j:][~free[j:]] = _LOG_FLOOR
+    ll = events.loglik(theta, w, obs)
+    for it in range(config.maxit + 1):
+        exp = events.expected(theta, w)
+        if _discrepancy(obs, exp, events.weight_scale) <= config.tol:
+            return _normalize_worth(theta, j), True, it
+        if it == config.maxit:
+            break
+        info = events.information(theta, w)[np.ix_(free, free)]
+        try:
+            step = np.linalg.solve(info, (obs - exp)[free])
+        except np.linalg.LinAlgError:
+            raise ModelError("singular information matrix; the item network is "
+                             "too weakly connected (consider npseudo > 0)") from None
+        for _ in range(_MAX_HALVINGS):
+            trial = theta.copy()
+            trial[free] += step
+            ll_trial = events.loglik(trial, w, obs)
+            if ll_trial >= ll - _LOGLIK_ROUNDING * abs(ll):
+                break
+            step = 0.5 * step
+        else:
+            break
+        theta, ll = trial, ll_trial
+    return _normalize_worth(theta, j), False, it
 
 
 def fit(table: RankingsTable, config: FitConfig | None = None,
@@ -365,35 +370,19 @@ def fit(table: RankingsTable, config: FitConfig | None = None,
 
     if not ((~table.na_mask) & (table.weights > 0)).any():
         raise DataError("no usable rankings: all rows are NA or zero-weight")
-
     max_tie = table.max_tie_order()
-
     if config.npseudo == 0 and not connectivity(adjacency(table)).strongly_connected:
         raise ModelError(NOT_CONNECTED_MESSAGE)
-
     events = EventSet(table, max_tie, npseudo=config.npseudo,
                       allow_high_tie_orders=config.allow_high_tie_orders)
 
-    if config.method == "iterative_scaling":
-        theta, converged, iterations = _iterative_scaling(events, config)
-    else:
-        theta, converged, iterations = _quasi_newton(events, config)
-
+    solve = _iterative_scaling if config.method == "iterative_scaling" else _newton
+    theta, converged, iterations = solve(events, config)
     if not converged:
         warnings.warn("Iterations have not converged")
-
-    params = Parameters.from_theta(theta, events.n_items)
-    ll_data = events.loglik(theta, events.w_data, events.obs_data)
     return ModelFit(
-        params=params,
-        items=table.items,
-        has_ghost=config.npseudo > 0,
-        converged=converged,
-        iterations=iterations,
-        log_likelihood=ll_data,
-        npseudo=config.npseudo,
-        method=config.method,
-        config=config,
-        df_outcomes=events.df_outcomes(),
-        events=events,
-    )
+        params=Parameters.from_theta(theta, events.n_items), items=table.items,
+        has_ghost=config.npseudo > 0, converged=converged, iterations=iterations,
+        log_likelihood=events.loglik(theta, events.w_data, events.obs_data),
+        npseudo=config.npseudo, method=config.method, config=config,
+        df_outcomes=events.df_outcomes(), events=events)

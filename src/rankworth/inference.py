@@ -24,7 +24,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import DataError, ModelError
-from .fit import ModelFit
+from .fit import ModelFit, _free_parameters
 
 __all__ = [
     "Summary",
@@ -39,8 +39,9 @@ __all__ = [
 
 
 def _anchored_covariance(fit: ModelFit) -> np.ndarray:
-    """Covariance of (all log-worths with column 0 pinned at zero, log ties),
-    padded with a zero row/column for the pinned coordinate.
+    """Covariance of the free parameters (all log-worths with column 0
+    pinned at zero, and the log ties of observed tie orders), padded with
+    zero rows/columns for the parameters that are not free.
 
     The scale deficiency of the worths is removed by the pinning; any
     remaining singularity signals a weakly connected network.
@@ -54,19 +55,14 @@ def _anchored_covariance(fit: ModelFit) -> np.ndarray:
             "this fit carries no event structure (it was read from a model "
             "file); refit the data to compute standard errors")
     info = events.information(fit.params.theta(), events.w_total)
-    keep = np.arange(1, info.shape[0])
+    keep = _free_parameters(events)
     sub = info[np.ix_(keep, keep)]
-    try:
-        inv = np.linalg.inv(sub)
-    except np.linalg.LinAlgError as exc:
+    # cond is inf or nan for a singular matrix
+    if not np.linalg.cond(sub) <= 1e12:
         raise ModelError(
-            "singular information matrix; the item network is too weakly "
-            "connected for standard errors (consider npseudo > 0)") from exc
-    cond = np.linalg.cond(sub)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ModelError(
-            "information matrix is numerically singular; the item network "
-            "is too weakly connected for standard errors")
+            "information matrix is (numerically) singular; the item network is "
+            "too weakly connected for standard errors (consider npseudo > 0)")
+    inv = np.linalg.inv(sub)
     padded = np.zeros_like(info)
     padded[np.ix_(keep, keep)] = inv
     fit._anchored_cov = padded
@@ -146,6 +142,8 @@ def summarize(fit: ModelFit, ref=0) -> Summary:
 
     A single-item reference reports estimate 0 with undefined (NaN)
     standard error for that item; tie parameters are unaffected by ``ref``.
+    A tie order that is never observed keeps its floored estimate and has
+    a NaN standard error.
     """
     names, estimates = fit.coef(ref=ref)
     v = vcov(fit, ref=ref)

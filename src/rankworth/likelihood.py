@@ -100,6 +100,7 @@ class EventSet:
         w_data / w_pseudo: per-event weight from table rows / pseudo-comparisons.
         obs_data / obs_pseudo: observed sufficient statistics from each.
         noutcomes: possible outcomes per event.
+        weight_scale: mean weight of the rows that give events (1 if none).
     """
 
     def __init__(self, table: RankingsTable, max_tie_order: int,
@@ -129,6 +130,7 @@ class EventSet:
         # with groups: the row and the number of observed entries of each record
         rec_row: list[int] = []
         rec_nobs: list[int] = []
+        row_weights: list[float] = []
 
         ranks = table.ranks
         na = table.na_mask
@@ -141,6 +143,7 @@ class EventSet:
             nz = np.flatnonzero(row)
             if nz.size < 2:
                 continue
+            row_weights.append(w)
             levels = row[nz]
             order = np.argsort(levels, kind="stable")
             items_ord = nz[order].tolist()
@@ -180,6 +183,7 @@ class EventSet:
                 pos = q
 
         n_data_events = len(ev_alts)
+        self.weight_scale = float(np.mean(row_weights)) if row_weights else 1.0
         self.obs_pseudo = np.zeros(self.n_params)
         if npseudo > 0:
             ev_alts.extend((i, n_real) for i in range(n_real))
@@ -319,19 +323,19 @@ class EventSet:
         in the full theta parameterization; a sum of per-event outcome
         covariances, hence symmetric positive semidefinite."""
         p = self.outcome_probs(theta)
-        q = weights[self.sub_event] * p
-        full = (self.B.multiply(q[:, None])).T @ self.B
-        means = self.agg @ self.B.multiply(p[:, None])      # (E, P) row = E[x]
-        means = np.asarray(means.todense())
-        info = np.asarray(full.todense()) - means.T @ (weights[:, None] * means)
-        return info
+        full = (self.B.multiply((weights[self.sub_event] * p)[:, None])).T @ self.B
+        means = self._event_means(p)
+        return full.toarray() - means.T @ (weights[:, None] * means)
 
     def group_scores(self, theta: np.ndarray) -> np.ndarray:
         """Per-group (observed - expected) statistic vectors at ``theta``.
 
         Requires the structure to have been built with ``group_index``.
         """
-        p = self.outcome_probs(theta)
-        per_event = self.agg @ self.B.multiply(p[:, None])  # (E, P) expectations
-        per_event = np.asarray(per_event.todense())
-        return self.group_obs - self.group_event_weights @ per_event
+        return self.group_obs - self.group_event_weights @ self._event_means(
+            self.outcome_probs(theta))
+
+    def _event_means(self, p: np.ndarray) -> np.ndarray:
+        """(E, P) expected statistics of each event, of weight one, under
+        outcome probabilities ``p``."""
+        return (self.agg @ self.B.multiply(p[:, None])).toarray()

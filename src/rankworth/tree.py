@@ -89,7 +89,20 @@ class Covariate:
                                tuple(str(v) for v in self.values))
 
     def levels(self) -> list[str]:
-        return sorted(set(self.values))
+        """Distinct values in string order; an ordinal covariate whose levels
+        are all finite numbers has them in numeric order."""
+        levels = sorted(set(self.values))
+        if len(levels) > MAX_CATEGORICAL_LEVELS:
+            raise DataError(
+                f"covariate {self.name!r} has {len(levels)} levels; "
+                f"at most {MAX_CATEGORICAL_LEVELS} are supported")
+        if self.kind == "ordinal":
+            try:
+                if all(math.isfinite(float(lv)) for lv in levels):
+                    levels.sort(key=float)
+            except ValueError:
+                pass
+        return levels
 
 
 class CovariateFrame:
@@ -334,10 +347,6 @@ def instability_test(scores: np.ndarray, covariate: Covariate) -> tuple[float, f
         return stat, suplm_pvalue(stat, dim)
 
     levels = covariate.levels()
-    if len(levels) > MAX_CATEGORICAL_LEVELS:
-        raise DataError(
-            f"covariate {covariate.name!r} has {len(levels)} levels; "
-            f"at most {MAX_CATEGORICAL_LEVELS} are supported")
     stat = 0.0
     varr = np.array(values, dtype=object)
     for lv in levels:
@@ -432,10 +441,6 @@ def _candidates(covariate: Covariate, minsize: int, stats):
         return splits, child_sums
 
     levels = covariate.levels()
-    if len(levels) > MAX_CATEGORICAL_LEVELS:
-        raise DataError(
-            f"covariate {covariate.name!r} has {len(levels)} levels; "
-            f"at most {MAX_CATEGORICAL_LEVELS} are supported")
     if covariate.kind == "ordinal":
         subsets = [frozenset(levels[:k]) for k in range(1, len(levels))]
     else:
@@ -443,7 +448,8 @@ def _candidates(covariate: Covariate, minsize: int, stats):
         subsets = [frozenset({first, *extra})
                    for r in range(0, len(rest))
                    for extra in itertools.combinations(rest, r)]
-    codes = np.searchsorted(levels, values)
+    code_of = {lv: k for k, lv in enumerate(levels)}
+    codes = np.array([code_of[v] for v in values], dtype=np.int64)
     in_left = np.array([[lv in s for lv in levels] for s in subsets],
                        dtype=bool).reshape(len(subsets), len(levels))
     n_left = in_left @ np.bincount(codes, minlength=len(levels))

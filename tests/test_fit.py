@@ -85,6 +85,20 @@ class TestConvergenceCheck:
         # denominator max(1, |obs|) keeps near-zero stats from dominating
         assert rw.convergence_check(np.array([1e-9]), np.array([2e-9]), 1e-6)
 
+    def test_guard_follows_scale(self):
+        # on statistics in units of 1e-9 the same gap is a relative one
+        assert not rw.convergence_check(np.array([1e-9]), np.array([2e-9]), 1e-6,
+                                        scale=1e-9)
+
+    def test_scale_is_mean_weight_of_rows_with_events(self, abcd):
+        t = abcd.with_weights(np.arange(1.0, abcd.n_rows + 1))
+        assert EventSet(t, t.max_tie_order()).weight_scale == pytest.approx(
+            t.weights.mean(), rel=1e-15)
+        # a row ranking one item gives no event and does not count
+        one = rw.RankingsTable(("a", "b"), np.array([[1, 2], [1, 0]]),
+                               np.array([2.0, 5.0]), np.array([False, False]))
+        assert EventSet(one, 1).weight_scale == 2.0
+
 
 class TestFit:
     def test_toy_mle(self, abc):
@@ -170,6 +184,100 @@ class TestQuasiNewton:
         m = quiet_fit(abcd, method="quasi_newton", tol=1e-9)
         _, est = m.coef()
         assert np.allclose(est, [0.0, 0.5184185, 0.1354707, -1.1537565], atol=1e-5)
+
+
+# A table with a 3-way tie and no 2-way tie: the order-2 tie parameter
+# is never observed and stays at its floor.
+NO_PAIR_TIES = [[1, 1, 1, 2], [1, 2, 3, 4], [2, 1, 3, 4], [4, 3, 2, 1],
+                [1, 3, 2, 4], [2, 3, 4, 1]]
+
+
+def _discrepancy_ok(m):
+    ev = m.events
+    exp = ev.expected(m.params.theta(), ev.w_total)
+    return rw.convergence_check(ev.obs_total, exp, m.config.tol, scale=ev.weight_scale)
+
+
+class TestNewton:
+    def test_limited_memory_on_race_shape(self):
+        from rankworth.datasets import make_nascar_shape_table
+
+        t = make_nascar_shape_table()
+        m = quiet_fit(t, method="limited_memory_quasi_newton")
+        base = quiet_fit(t, tol=1e-10)
+        assert m.converged
+        assert m.method == "limited_memory_quasi_newton"
+        assert np.allclose(m.coef()[1], base.coef()[1], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_converged_means_within_tol(self, tol, pudding, abcd):
+        rng = np.random.default_rng(21)
+        tables = [(pudding, 0.0), (abcd, 0.5)] + [
+            (random_table(rng, n_items=5, n_rows=20, max_tie=3, partial=True), 0.5)
+            for _ in range(5)]
+        for t, npseudo in tables:
+            m = quiet_fit(t, npseudo=npseudo, method="quasi_newton", tol=tol)
+            assert m.converged
+            assert _discrepancy_ok(m)
+
+    def test_maxit_warns_and_returns_partial(self, pudding):
+        with pytest.warns(UserWarning, match="not converged"):
+            m = rw.fit(pudding, npseudo=0, maxit=1, method="quasi_newton")
+        assert not m.converged
+        assert m.iterations == 1
+        assert not _discrepancy_ok(m)
+
+    @pytest.mark.parametrize("rows, npseudo", [
+        ([[1, 1, 2], [2, 1, 1], [1, 2, 1], [1, 1, 2]], 0.0),    # ties only: delta unbounded
+        ([[1, 2, 3]] * 3, 1e-12),                               # near-disconnected
+        (NO_PAIR_TIES, 0.0),
+        ([[1, 1], [1, 1]], 0.5),
+    ])
+    def test_awkward_tables_fit_or_raise_model_error(self, rows, npseudo):
+        t = rw.from_rank_matrix(rows, [f"i{k}" for k in range(len(rows[0]))])
+        try:
+            m = quiet_fit(t, npseudo=npseudo, method="quasi_newton")
+        except ModelError:
+            return
+        assert np.all(np.isfinite(m.params.theta()))
+
+    def test_singular_information_is_model_error(self, pudding, monkeypatch):
+        monkeypatch.setattr(EventSet, "information",
+                            lambda self, theta, w: np.zeros((self.n_params,) * 2))
+        with pytest.raises(ModelError, match="singular"):
+            rw.fit(pudding, npseudo=0, method="quasi_newton")
+
+    def test_no_ascent_reports_unconverged(self, pudding, monkeypatch):
+        monkeypatch.setattr(EventSet, "information",
+                            lambda self, theta, w: np.full((self.n_params,) * 2, np.nan))
+        with pytest.warns(UserWarning, match="not converged"):
+            m = rw.fit(pudding, npseudo=0, method="quasi_newton")
+        assert not m.converged
+        assert m.iterations == 0
+        assert np.all(np.isfinite(m.params.theta()))
+
+
+class TestUnobservedTieOrder:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return rw.from_rank_matrix(NO_PAIR_TIES, list("abcd"))
+
+    def test_both_methods_fit_and_agree(self, table):
+        a = quiet_fit(table, npseudo=0, tol=1e-10)
+        b = quiet_fit(table, npseudo=0, method="quasi_newton", tol=1e-10)
+        assert a.converged and b.converged
+        assert a.params.log_tie[0] == b.params.log_tie[0] == -500.0
+        assert np.allclose(a.coef()[1], b.coef()[1], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("method", ["iterative_scaling", "quasi_newton"])
+    def test_inference_reports_items_and_observed_ties(self, table, method):
+        m = quiet_fit(table, npseudo=0, method=method)
+        s = rw.summarize(m)
+        # the reference item and the unobserved tie order have no SE
+        assert np.isnan(s.std_errors[[0, 4]]).all()
+        assert np.isfinite(s.std_errors[[1, 2, 3, 5]]).all()
+        qv = rw.quasi_variances(m)
+        assert np.isfinite(qv.quasi_se).all() and (qv.quasi_se > 0).all()
 
 
 class TestInvariants:
@@ -279,8 +387,8 @@ def _table(seed: int, npseudo: float):
     return t
 
 
-def _theta(table, npseudo):
-    return quiet_fit(table, npseudo=npseudo, tol=TOL).params.theta()
+def _theta(table, npseudo, method="iterative_scaling"):
+    return quiet_fit(table, npseudo=npseudo, tol=TOL, method=method).params.theta()
 
 
 class TestInvarianceProperties:
@@ -309,6 +417,40 @@ class TestInvarianceProperties:
                                     t.na_mask[perm])
         assert np.allclose(_theta(permuted, npseudo), _theta(t, npseudo),
                            rtol=0, atol=100 * TOL)
+
+    @_examples
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-12, 12),
+           method=st.sampled_from(["iterative_scaling", "quasi_newton"]))
+    def test_weight_scale(self, seed, exponent, method):
+        # maximum likelihood only: the pseudo weight is absolute
+        t = _table(seed, 0.0)
+        scaled = t.with_weights(t.weights * 10.0 ** exponent)
+        assert np.allclose(_theta(scaled, 0.0, method), _theta(t, 0.0, method),
+                           rtol=0, atol=100 * TOL)
+
+    @_examples
+    @given(exponent=st.integers(-12, 12),
+           method=st.sampled_from(["iterative_scaling", "quasi_newton"]))
+    def test_scaled_pudding_is_never_wrong_and_converged(self, pudding, exponent, method):
+        base = _theta(pudding, 0.0, method)
+        scaled = pudding.with_weights(pudding.weights * 10.0 ** exponent)
+        try:
+            m = quiet_fit(scaled, npseudo=0, tol=TOL, method=method)
+        except ModelError:
+            return
+        assert m.converged
+        assert np.allclose(m.params.theta(), base, rtol=0, atol=100 * TOL)
+
+    @_examples
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_continuity_as_npseudo_vanishes(self, seed):
+        t = _table(seed, 0.0)
+        # coef() holds the real-item contrasts and the ties, not the ghost
+        mle = quiet_fit(t, npseudo=0.0, tol=TOL).coef()[1]
+        gaps = [np.max(np.abs(quiet_fit(t, npseudo=c, tol=TOL).coef()[1] - mle))
+                for c in (1e-2, 1e-4, 1e-6, 1e-8)]
+        assert all(b <= a + 100 * TOL for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= 1e-4 * gaps[0] + 100 * TOL
 
     @_examples
     @given(seed=st.integers(0, 2**32 - 1), npseudo=st.sampled_from([0.0, 0.5]),

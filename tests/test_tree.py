@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import rankworth as rw
 from rankworth.errors import DataError
@@ -181,6 +182,19 @@ class TestBestSplit:
         split, _ = found
         # ordered levels sort as hi < lo < mid; contiguous prefixes only
         assert split.left_levels in (frozenset({"hi"}), frozenset({"hi", "lo"}))
+
+    def test_numeric_ordinal_levels_split_in_numeric_order(self):
+        from rankworth.tree import _candidates
+
+        values = ("10", "1", "2", "2", "10", "1")
+        cov = rw.Covariate("o", values, "ordinal")
+        assert cov.levels() == ["1", "2", "10"]
+        assert rw.Covariate("c", values, "categorical").levels() == ["1", "10", "2"]
+        stats = sp.csr_matrix(np.ones((len(values), 1)))
+        splits, child_sums = _candidates(cov, 1, stats)
+        assert [s.left_levels for s in splits] == [frozenset({"1"}), frozenset({"1", "2"})]
+        left, right = child_sums(np.arange(2))
+        assert left[:, 0].tolist() == [2.0, 4.0] and right[:, 0].tolist() == [4.0, 2.0]
 
     def test_no_admissible_split(self):
         rng = np.random.default_rng(109)
