@@ -123,8 +123,9 @@ class ModelFit:
 
     @property
     def n_free_params(self) -> int:
-        """Free parameters: item contrasts plus tie prevalences."""
-        return (self.params.n_items - 1) + (self.max_tie_order - 1)
+        """Free parameters: item contrasts plus the tie prevalences above
+        the floor (an unobserved tie order is held at it, not estimated)."""
+        return (self.params.n_items - 1) + int(np.sum(self.params.log_tie > _LOG_FLOOR))
 
     def real_log_worth(self) -> np.ndarray:
         return self.params.log_worth[: self.n_real_items]
@@ -367,15 +368,22 @@ def fit(table: RankingsTable, config: FitConfig | None = None,
         config = replace(config, **overrides)
     if weights is not None:
         table = table.with_weights(weights)
+    return _fit_events(table, _compile(table, config), config)
 
+
+def _compile(table: RankingsTable, config: FitConfig, group_index=None) -> EventSet:
+    """The event structure of a table with usable rankings, at its tie order."""
     if not ((~table.na_mask) & (table.weights > 0)).any():
         raise DataError("no usable rankings: all rows are NA or zero-weight")
-    max_tie = table.max_tie_order()
+    return EventSet(table, table.max_tie_order(), config.npseudo, group_index,
+                    allow_high_tie_orders=config.allow_high_tie_orders)
+
+
+def _fit_events(table: RankingsTable, events: EventSet, config: FitConfig) -> ModelFit:
+    """Solve the model on ``events``, the data of ``table`` (read only for
+    its items and, at ``npseudo = 0``, its win/loss network)."""
     if config.npseudo == 0 and not connectivity(adjacency(table)).strongly_connected:
         raise ModelError(NOT_CONNECTED_MESSAGE)
-    events = EventSet(table, max_tie, npseudo=config.npseudo,
-                      allow_high_tie_orders=config.allow_high_tie_orders)
-
     solve = _iterative_scaling if config.method == "iterative_scaling" else _newton
     theta, converged, iterations = solve(events, config)
     if not converged:

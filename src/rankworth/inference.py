@@ -173,7 +173,7 @@ def model_metrics(fit: ModelFit) -> ModelMetrics:
 
     The residual df is the weighted count of possible outcomes minus one,
     summed over data choice events, minus the number of free parameters
-    (item contrasts plus tie prevalences).
+    (item contrasts plus the tie prevalences not held at the floor).
     """
     p = fit.n_free_params
     deviance = -2.0 * fit.log_likelihood

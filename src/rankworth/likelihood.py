@@ -18,6 +18,7 @@ plain-arithmetic brute-force oracles.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -87,8 +88,8 @@ class EventSet:
     single sparse matrix-vector product ``B @ theta``, where theta is the
     concatenated (log worth, log tie) vector, which makes log-likelihood,
     expected statistics and the information matrix cheap to evaluate for
-    arbitrary event weightings (the tree code re-weights events per group
-    without rebuilding).
+    arbitrary event weightings (a tree compiles once and views each node
+    as a re-weighting by its groups, see :meth:`for_groups`).
 
     With ``npseudo > 0`` a ghost item is parameter J, after the J items.
     Its pseudo-comparisons "i beats ghost" and "ghost beats i" (weight
@@ -273,6 +274,15 @@ class EventSet:
     @property
     def obs_total(self) -> np.ndarray:
         return self.obs_data + self.obs_pseudo
+
+    def for_groups(self, mask: np.ndarray) -> "EventSet":
+        """A view sharing all structure, whose ``w_data``/``obs_data`` are the
+        sums over the groups in boolean ``mask`` (needs ``group_index``);
+        pseudo events and ``weight_scale`` stay those of the whole set."""
+        view = copy.copy(self)
+        view.w_data = np.asarray(self.group_event_weights[mask].sum(axis=0)).ravel()
+        view.obs_data = self.group_obs[mask].sum(axis=0)
+        return view
 
     def df_outcomes(self) -> float:
         """Sum over data events of weight * (possible outcomes - 1)."""

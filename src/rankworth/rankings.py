@@ -39,15 +39,15 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _dense_recode_row(row: np.ndarray) -> np.ndarray:
-    """Close rank gaps in one row, preserving order and ties."""
-    out = np.zeros_like(row)
-    ranked = row > 0
-    if not ranked.any():
-        return out
-    levels = np.unique(row[ranked])
-    for new, old in enumerate(levels, start=1):
-        out[row == old] = new
+def _dense_recode(m: np.ndarray) -> np.ndarray:
+    """Close rank gaps in every row of ``m``, preserving order and ties:
+    each positive code becomes the number of distinct positive codes of its
+    row up to and including it."""
+    order = np.argsort(m, axis=1, kind="stable")
+    ascending = np.take_along_axis(m, order, axis=1)
+    levels = np.cumsum(np.diff(ascending, axis=1, prepend=0) > 0, axis=1)
+    out = np.empty_like(m)
+    np.put_along_axis(out, order, levels, axis=1)
     return out
 
 
@@ -96,17 +96,13 @@ class RankingsTable:
 
     def max_tie_order(self) -> int:
         """Largest tie-group size over non-NA rows (1 if no ties / no rows)."""
-        best = 1
-        for i in range(self.n_rows):
-            if self.na_mask[i]:
-                continue
-            row = self.ranks[i]
-            ranked = row[row > 0]
-            if ranked.size == 0:
-                continue
-            counts = np.bincount(ranked)
-            best = max(best, int(counts.max()))
-        return best
+        ranks = self.ranks[~self.na_mask]
+        row, col = np.nonzero(ranks)
+        if row.size == 0:
+            return 1
+        # one bin per (row, code) pair
+        counts = np.bincount(row * (int(ranks.max()) + 1) + ranks[row, col])
+        return max(1, int(counts.max()))
 
     def with_weights(self, weights) -> "RankingsTable":
         w = np.asarray(weights, dtype=np.float64)
@@ -148,8 +144,8 @@ def from_rank_matrix(matrix, item_names, weights=None) -> RankingsTable:
     if (m < 0).any():
         raise DataError("rank codes must be non-negative")
 
-    dense = np.vstack([_dense_recode_row(r) for r in m]) if m.shape[0] else m
-    na = np.array([(r > 0).sum() < 2 for r in dense], dtype=bool)
+    dense = _dense_recode(m)
+    na = (dense > 0).sum(axis=1) < 2
     flagged = int(na.sum())
     if flagged:
         warnings.warn(f"{flagged} ranking(s) with fewer than 2 ranked items set to NA")
@@ -286,8 +282,8 @@ def subset_items(table: RankingsTable, keep_items) -> RankingsTable:
         raise DataError(f"unknown item(s): {missing}")
     cols = [table.items.index(k) for k in keep]
     sub = table.ranks[:, cols]
-    dense = np.vstack([_dense_recode_row(r) for r in sub]) if sub.shape[0] else sub
-    na = table.na_mask | np.array([(r > 0).sum() < 2 for r in dense], dtype=bool)
+    dense = _dense_recode(sub)
+    na = table.na_mask | ((dense > 0).sum(axis=1) < 2)
     newly = int(na.sum() - table.na_mask.sum())
     if newly:
         warnings.warn(f"{newly} ranking(s) with fewer than 2 ranked items set to NA")

@@ -18,11 +18,12 @@ Numeric covariates use a sup-LM statistic over candidate breakpoints in
 the trimmed range, with p values from the standard crossing-probability
 approximation for the supremum of a squared Bessel bridge; categorical
 covariates use the chi-squared fluctuation statistic over level sums.
-The children of all candidate splits of a node are refitted together: each
-child re-weights one shared event structure by its groups' sums, and all
-children are solved as the columns of one iterative-scaling problem, each
-started from the node's pooled fit.  A candidate with a child whose fit
-does not exist is skipped, not fatal.
+A tree compiles its rankings once, with the tree's tie order; a node's
+fit, scores and candidate children all re-weight that one event structure
+by their groups' sums.  The children of all candidate splits of a node are
+solved as the columns of one iterative-scaling problem, each started from
+the node's fit.  A candidate with a child whose fit does not exist is
+skipped, not fatal.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ import scipy.sparse as sp
 from scipy.stats import chi2
 
 from .errors import DataError, ModelError
-from .fit import FitConfig, ModelFit, _iterative_scaling, _scaling_solve, fit
+from .fit import (FitConfig, ModelFit, _compile, _fit_events, _iterative_scaling,
+                  _scaling_solve)
 from .likelihood import EventSet
-from .rankings import GroupedRankings, RankingsTable
+from .rankings import GroupedRankings
 
 __all__ = [
     "Covariate",
@@ -273,12 +275,16 @@ def score_contributions(grouped: GroupedRankings, fitted: ModelFit) -> np.ndarra
     Rows sum to the total data score, which is zero at an unpenalized
     maximum likelihood fit.
     """
-    events = EventSet(grouped.rankings, fitted.max_tie_order,
+    events = EventSet(grouped.rankings, fitted.max_tie_order, npseudo=fitted.npseudo,
                       group_index=grouped.group_index, allow_high_tie_orders=True)
-    j = fitted.n_real_items
-    theta = np.concatenate([fitted.params.log_worth[:j], fitted.params.log_tie])
-    # the first item is the reference of the contrasts
-    return events.group_scores(theta)[:, 1:]
+    return _node_scores(events, fitted, slice(None))
+
+
+def _node_scores(events: EventSet, fitted: ModelFit, rows) -> np.ndarray:
+    """Score contributions of groups ``rows`` of ``events`` at ``fitted``,
+    without the reference (first) item and the ghost."""
+    keep = np.r_[1:fitted.n_real_items, events.n_items:events.n_params]
+    return events.group_scores(fitted.params.theta())[rows][:, keep]
 
 
 def suplm_pvalue(stat: float, dim: int, trim_lo: float = TRIM,
@@ -370,13 +376,13 @@ def best_split(grouped: GroupedRankings, covariate: Covariate,
 
     Numeric: midpoints of consecutive distinct sorted values; categorical:
     binary level subsets (ordinal: contiguous only).  Every candidate's
-    two children are refitted, all at once: each child is a re-weighting
-    of one shared event structure (its groups' event weights and observed
+    two children are refitted, all at once: each child re-weights one
+    shared event structure (its groups' event weights and observed
     statistics, plus every pseudo-comparison with the ghost item at its
-    full weight), and the children are solved as the columns of
-    one iterative-scaling problem, every column started from the node's
-    pooled fit.  A candidate whose child has no scaling update (an item
-    without wins or tie credit) is inadmissible and skipped.
+    full weight), as every node of a tree does, and the children are
+    solved as the columns of one iterative-scaling problem, every column
+    started from the pooled fit.  A candidate whose child has no scaling
+    update (an item without wins or tie credit) is inadmissible and skipped.
 
     Returns (Split, summed child log-likelihood) or None when no candidate
     satisfies the size constraint and is admissible.  If ``tally`` is a
@@ -389,29 +395,50 @@ def best_split(grouped: GroupedRankings, covariate: Covariate,
         max_tie_order = table.max_tie_order()
     if len(covariate.values) != grouped.n_groups:
         raise DataError("covariate length must match the number of groups")
-    if tally is not None:
-        tally.update(inadmissible=0, unconverged=0)
-
     events = EventSet(table, max_tie_order, npseudo=fit_config.npseudo,
                       group_index=grouped.group_index,
                       allow_high_tie_orders=fit_config.allow_high_tie_orders)
+    found, inadmissible, unconverged = _split_node(
+        events, slice(None), covariate, config, _iterative_scaling(events, fit_config)[0])
+    if tally is not None:
+        tally.update(inadmissible=inadmissible, unconverged=unconverged)
+    return found
+
+
+def _split_node(events: EventSet, rows, covariate: Covariate, config: TreeConfig,
+                start: np.ndarray):
+    """:func:`best_split` of the node made of groups ``rows`` of ``events``,
+    whose values of ``covariate`` are given, every child started from the
+    node's pooled fit ``start``; returns the best split (or None) and the
+    counts of inadmissible candidates and of unconverged admissible children.
+    Candidates are solved a block at a time, left children first."""
     # per-group data, one row per group: event weights, then observed statistics
-    stats = sp.hstack([events.group_event_weights, sp.csr_matrix(events.group_obs)],
+    stats = sp.hstack([events.group_event_weights[rows], sp.csr_matrix(events.group_obs[rows])],
                       format="csr")
     splits, child_sums = _candidates(covariate, config.minsize, stats)
-    if not splits:
-        return None
-
-    objective, admissible, unconverged = _solve_children(
-        events, child_sums, len(splits), fit_config)
-    if tally is not None:
-        tally["inadmissible"] = int((~admissible).sum())
-        tally["unconverged"] = unconverged
+    n_cand, n_events = len(splits), events.n_events
+    per_block = max(1, _BLOCK_CELLS // (2 * max(events.n_subsets, 1)))
+    objective = np.empty(n_cand)
+    admissible = np.empty(n_cand, dtype=bool)
+    unconverged = 0
+    for lo in range(0, n_cand, per_block):
+        cand = np.arange(lo, min(lo + per_block, n_cand))
+        data = np.vstack(child_sums(cand)).T
+        w, obs = data[:n_events], data[n_events:]
+        theta, converged, _, failed = _scaling_solve(
+            events, w + events.w_pseudo[:, None], obs + events.obs_pseudo[:, None],
+            config.fit_config, start)
+        ll = events.loglik(theta, w, obs)
+        b = cand.size
+        objective[cand] = ll[:b] + ll[b:]
+        ok = ~(failed[:b] | failed[b:])
+        admissible[cand] = ok
+        unconverged += int((~converged[:b] & ok).sum() + (~converged[b:] & ok).sum())
     best = None
     for split, obj, ok in zip(splits, objective, admissible):
         if ok and (best is None or obj > best[1] + 1e-12):
             best = (split, float(obj))
-    return best
+    return best, int((~admissible).sum()), unconverged
 
 
 def _candidates(covariate: Covariate, minsize: int, stats):
@@ -466,39 +493,6 @@ def _candidates(covariate: Covariate, minsize: int, stats):
     return splits, child_sums
 
 
-def _solve_children(events: EventSet, child_sums, n_cand: int,
-                    fit_config: FitConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fit the two children of every candidate split, a block of
-    candidates at a time.
-
-    ``child_sums(rows)`` gives the left and right children of candidates
-    ``rows``: one row per child, its data event weights followed by its
-    observed statistics.  Returns each candidate's summed child data
-    log-likelihood, whether both children have a fit, and the number of
-    unconverged children among candidates that have.
-    """
-    n_events = events.n_events
-    start = _iterative_scaling(events, fit_config)[0]
-    per_block = max(1, _BLOCK_CELLS // (2 * max(events.n_subsets, 1)))
-    objective = np.empty(n_cand)
-    admissible = np.empty(n_cand, dtype=bool)
-    unconverged = 0
-    for lo in range(0, n_cand, per_block):
-        rows = np.arange(lo, min(lo + per_block, n_cand))
-        data = np.vstack(child_sums(rows)).T
-        w, obs = data[:n_events], data[n_events:]
-        theta, converged, _, failed = _scaling_solve(
-            events, w + events.w_pseudo[:, None], obs + events.obs_pseudo[:, None],
-            fit_config, start)
-        ll = events.loglik(theta, w, obs)
-        b = rows.size
-        objective[rows] = ll[:b] + ll[b:]
-        ok = ~(failed[:b] | failed[b:])
-        admissible[rows] = ok
-        unconverged += int((~converged[:b] & ok).sum() + (~converged[b:] & ok).sum())
-    return objective, admissible, unconverged
-
-
 def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
               config: TreeConfig | None = None, **overrides) -> PLTree:
     """Grow a partition tree over the groups (see module docstring).
@@ -514,26 +508,22 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
         config = replace(config, **overrides)
     if covariates.n_groups != grouped.n_groups:
         raise DataError("covariate rows must match the number of groups")
-    max_tie_order = grouped.rankings.max_tie_order()
-
+    table = grouped.rankings
+    events = _compile(table, config.fit_config, grouped.group_index)
     counter = itertools.count(1)
 
-    def node_data(group_ids: np.ndarray) -> GroupedRankings:
-        idx = np.flatnonzero(np.isin(grouped.group_index, group_ids))
-        table = grouped.rankings
-        sub_table = RankingsTable(table.items, table.ranks[idx],
-                                  table.weights[idx], table.na_mask[idx])
-        # renumber groups 1..g in group_ids order
-        remap = {gid: k + 1 for k, gid in enumerate(group_ids)}
-        sub_gidx = np.array([remap[gid] for gid in grouped.group_index[idx]],
-                            dtype=np.int64)
-        return GroupedRankings(sub_table, sub_gidx)
+    def node_fit(group_ids: np.ndarray) -> ModelFit:
+        mask = np.zeros(grouped.n_groups, dtype=bool)
+        mask[group_ids - 1] = True
+        in_node = table
+        if config.fit_config.npseudo == 0:      # the node's rows, for its network
+            in_node = table.with_weights(table.weights * mask[grouped.group_index - 1])
+        return _fit_events(in_node, events.for_groups(mask), config.fit_config)
 
-    def build(group_ids: np.ndarray, depth: int, sub_grouped: GroupedRankings,
-              node_fit: ModelFit) -> PLNode:
+    def build(group_ids: np.ndarray, depth: int, fitted: ModelFit) -> PLNode:
         node = PLNode(node_id=next(counter), depth=depth,
                       n_groups=len(group_ids), group_ids=group_ids,
-                      fit_result=node_fit)
+                      fit_result=fitted)
         if depth >= config.maxdepth:
             node.stop_reason = "maximum depth"
             return node
@@ -544,8 +534,9 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
             node.stop_reason = "alpha is zero"
             return node
 
-        scores = score_contributions(sub_grouped, node_fit)
-        sub_cov = covariates.subset(np.asarray(group_ids) - 1)
+        rows = group_ids - 1
+        scores = _node_scores(events, fitted, rows)
+        sub_cov = covariates.subset(rows)
         tests = [(cov.name, *instability_test(scores, cov)) for cov in sub_cov.covariates]
         # the smallest Bonferroni-adjusted p value, ties broken by name
         p_adj, name, stat = min((min(1.0, p * len(tests)), name, stat)
@@ -554,11 +545,8 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
             node.stop_reason = "no significant instability"
             return node
 
-        tally = {}
-        found = best_split(sub_grouped, sub_cov[name], config, max_tie_order,
-                           tally=tally)
-        node.n_inadmissible = tally["inadmissible"]
-        node.n_unconverged = tally["unconverged"]
+        found, node.n_inadmissible, node.n_unconverged = _split_node(
+            events, rows, sub_cov[name], config, fitted.params.theta())
         if found is None:
             node.stop_reason = f"no admissible split on {name!r}"
             return node
@@ -566,23 +554,20 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
 
         left_local = np.array([split.goes_left(v) for v in sub_cov[name].values])
         children = []
-        for ids in (np.asarray(group_ids)[left_local], np.asarray(group_ids)[~left_local]):
-            data = node_data(ids)
+        for ids in (group_ids[left_local], group_ids[~left_local]):
             try:
-                child_fit = fit(data.rankings, config.fit_config)
+                children.append((ids, node_fit(ids)))
             except ModelError as exc:
                 node.stop_reason = f"child of {split.describe()} cannot be fitted: {exc}"
                 return node
-            children.append((ids, data, child_fit))
         node.split = split
-        node.left, node.right = (build(ids, depth + 1, data, child_fit)
-                                 for ids, data, child_fit in children)
+        node.left, node.right = (build(ids, depth + 1, child_fit)
+                                 for ids, child_fit in children)
         return node
 
-    root_ids = np.arange(1, grouped.n_groups + 1)
-    root_data = node_data(root_ids)
-    root = build(root_ids, 1, root_data, fit(root_data.rankings, config.fit_config))
-    return PLTree(root, grouped.rankings.items, tuple(covariates.names()), config)
+    root = build(np.arange(1, grouped.n_groups + 1), 1,
+                 _fit_events(table, events, config.fit_config))
+    return PLTree(root, table.items, tuple(covariates.names()), config)
 
 
 def predict_node(tree: PLTree, covariate_row: dict):

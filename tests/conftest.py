@@ -40,6 +40,30 @@ def pudding_fit7(pudding):
         return rw.fit(pudding, npseudo=0, maxit=7)
 
 
+def dense_recode_row_oracle(row):
+    """Close rank gaps in one row, preserving order and ties, level by level."""
+    out = np.zeros_like(row)
+    ranked = row > 0
+    if not ranked.any():
+        return out
+    levels = np.unique(row[ranked])
+    for new, old in enumerate(levels, start=1):
+        out[row == old] = new
+    return out
+
+
+def max_tie_order_oracle(table):
+    """Largest tie-group size over the non-NA rows of a table, row by row."""
+    best = 1
+    for i in range(table.n_rows):
+        if table.na_mask[i]:
+            continue
+        ranked = table.ranks[i][table.ranks[i] > 0]
+        if ranked.size:
+            best = max(best, int(np.bincount(ranked).max()))
+    return best
+
+
 def sample_ranking_row(log_worth, rng, subset=None, tie_sizes=None):
     """Draw one (possibly partial, possibly tied) ranking row.
 

@@ -279,6 +279,18 @@ class TestUnobservedTieOrder:
         qv = rw.quasi_variances(m)
         assert np.isfinite(qv.quasi_se).all() and (qv.quasi_se > 0).all()
 
+    @pytest.mark.parametrize("method", ["iterative_scaling", "quasi_newton"])
+    def test_floored_tie_is_not_a_free_parameter(self, table, method, tmp_path):
+        # three item contrasts and tie3 are estimated; tie2 is held at the floor
+        m = quiet_fit(table, npseudo=0, method=method)
+        path = tmp_path / "model.json"
+        rw.write_model_json(m, path)
+        for f in (m, rw.read_model_json(path)):
+            metrics = rw.model_metrics(f)
+            assert f.n_free_params == 4
+            assert metrics.aic == metrics.deviance + 2 * 4
+            assert metrics.residual_df == f.df_outcomes - 4
+
 
 class TestInvariants:
     def test_monotonicity_unaccelerated(self):

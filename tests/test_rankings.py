@@ -9,6 +9,21 @@ from hypothesis import strategies as st
 
 import rankworth as rw
 from rankworth.errors import DataError
+from tests.conftest import dense_recode_row_oracle, max_tie_order_oracle
+
+
+def random_rank_matrices(seed, n=300):
+    """Random non-negative code matrices with gaps, ties, all-zero and
+    single-item rows, and occasionally no rows at all."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        n_rows, n_items = int(rng.integers(0, 30)), int(rng.integers(2, 9))
+        m = rng.integers(0, int(rng.integers(1, 12)), size=(n_rows, n_items))
+        if n_rows >= 2:
+            m[0] = 0
+            m[1] = 0
+            m[1, rng.integers(n_items)] = int(rng.integers(1, 12))
+        yield m
 
 
 class TestFromRankMatrix:
@@ -52,6 +67,15 @@ class TestFromRankMatrix:
             t2 = rw.from_rank_matrix(t1.ranks, list("wxyz"))
         assert np.array_equal(t1.ranks, t2.ranks)
         assert np.array_equal(t1.na_mask, t2.na_mask)
+
+    def test_recoding_matches_row_oracle(self):
+        for m in random_rank_matrices(7):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                t = rw.from_rank_matrix(m, [f"i{j}" for j in range(m.shape[1])])
+            want = np.array([dense_recode_row_oracle(r) for r in m]).reshape(m.shape)
+            assert np.array_equal(t.ranks, want)
+            assert t.na_mask.tolist() == [(r > 0).sum() < 2 for r in want]
 
 
 class TestFromOrderings:
@@ -152,6 +176,18 @@ class TestSubsetItems:
                 continue
             ranked = s.ranks[i][s.ranks[i] > 0]
             assert sorted(set(ranked)) == list(range(1, len(set(ranked)) + 1))
+
+    def test_recoding_matches_row_oracle(self):
+        for m in random_rank_matrices(8, n=100):
+            items = [f"i{j}" for j in range(m.shape[1])]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                t = rw.RankingsTable(tuple(items), m, np.ones(len(m)), np.zeros(len(m)))
+                s = rw.subset_items(t, items[::2] if len(items) > 3 else items)
+            cols = [items.index(k) for k in s.items]
+            want = np.array([dense_recode_row_oracle(r) for r in m[:, cols]]).reshape(s.ranks.shape)
+            assert np.array_equal(s.ranks, want)
+            assert s.na_mask.tolist() == [(r > 0).sum() < 2 for r in want]
 
     def test_errors(self, abcd):
         with pytest.raises(DataError):
@@ -265,3 +301,14 @@ class TestTableBasics:
     def test_max_tie_order(self):
         t = rw.from_rank_matrix([[1, 1, 1, 2], [1, 2, 3, 4]], list("abcd"))
         assert t.max_tie_order() == 3
+
+    def test_max_tie_order_matches_row_oracle(self):
+        rng = np.random.default_rng(9)
+        for m in random_rank_matrices(9):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                t = rw.from_rank_matrix(m, [f"i{j}" for j in range(m.shape[1])])
+            # rows flagged NA are skipped; zero-weight rows still count
+            t = rw.RankingsTable(t.items, t.ranks, rng.integers(0, 2, t.n_rows),
+                                 t.na_mask | (rng.random(t.n_rows) < 0.3))
+            assert t.max_tie_order() == max_tie_order_oracle(t)

@@ -356,6 +356,89 @@ class TestGrowTree:
                                   b.fit_result.params.theta())
 
 
+@pytest.fixture(scope="module")
+def tied():
+    """60 groups x 4 rankings of 5 items with a worth flip at x = 0.5;
+    only groups with x <= 0.5 have 3-way ties, so the right leaf of the
+    split lacks the tree's top tie order."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1, 60)
+    lw = np.array([0.0, 1.0, 0.5, -0.5, -1.0])
+    rows, gidx = [], []
+    for g in range(60):
+        low = x[g] <= 0.5
+        for _ in range(4):
+            sizes = ([3, 1, 1] if low and rng.random() < 0.3 else
+                     [2, 1, 1, 1] if rng.random() < 0.3 else None)
+            rows.append(sample_ranking_row(lw if low else -lw, rng, tie_sizes=sizes))
+            gidx.append(g + 1)
+    table = rw.from_rank_matrix(np.array(rows), list("abcde"))
+    return rw.group_rankings(table, gidx), rw.CovariateFrame.from_dict({"x": x})
+
+
+def node_table(grouped, node):
+    rows = np.isin(grouped.group_index, node.group_ids)
+    t = grouped.rankings
+    return rw.RankingsTable(t.items, t.ranks[rows], t.weights[rows], t.na_mask[rows])
+
+
+class TestOneCompilePerTree:
+    """Every node of a tree is a group mask on the root's one event
+    structure; its fit is that of ``fit`` on the node's own rows."""
+
+    @pytest.mark.parametrize("design", ["planted", "tied"])
+    @pytest.mark.parametrize("npseudo", [0.0, 0.5])
+    def test_node_fits_match_fit_on_node_rows(self, design, npseudo, request):
+        grouped, covs = request.getfixturevalue(design)[:2]
+        fit_config = rw.FitConfig(npseudo=npseudo)
+        tree = quiet(rw.grow_tree, grouped, covs, minsize=10, maxdepth=2,
+                     fit_config=fit_config)
+        leaves = tree.leaves()
+        assert len(leaves) == 2
+        tol = 100 * fit_config.tol
+        for node in [tree.root, *leaves]:
+            got = node.fit_result
+            want = quiet(rw.fit, node_table(grouped, node), fit_config)
+            assert got.converged and want.converged
+            j = got.n_real_items
+            assert np.allclose(got.coef()[1][:j], want.coef()[1][:j], rtol=0, atol=tol)
+            # the tree's tie order: orders the node lacks sit at the floor
+            d = want.max_tie_order - 1
+            assert np.allclose(got.params.log_tie[:d], want.params.log_tie, rtol=0, atol=tol)
+            assert (got.params.log_tie[d:] == -500.0).all()
+            assert got.log_likelihood == pytest.approx(
+                want.log_likelihood, abs=tol * abs(want.log_likelihood))
+        if design == "tied":
+            assert sorted(leaf.fit_result.max_tie_order for leaf in leaves) == [3, 3]
+            assert sorted(node_table(grouped, leaf).max_tie_order() for leaf in leaves) == [2, 3]
+
+    def test_one_event_structure_per_tree(self, planted, monkeypatch):
+        grouped, covs, _ = planted
+        calls = []
+        init = rw.EventSet.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(rw.EventSet, "__init__", counting_init)
+        tree = quiet(rw.grow_tree, grouped, covs, minsize=25, maxdepth=3)
+        assert tree.n_leaves() >= 2
+        assert len(calls) == 1
+
+    def test_leaf_summaries_have_item_errors(self, tied):
+        grouped, covs = tied
+        tree = quiet(rw.grow_tree, grouped, covs, minsize=10, maxdepth=2)
+        for leaf in tree.leaves():
+            s = rw.summarize(leaf.fit_result)
+            j = leaf.fit_result.n_real_items
+            assert np.isfinite(s.std_errors[1:j]).all() and (s.std_errors[1:j] > 0).all()
+            # a tie order the leaf lacks is held at the floor, without an SE
+            floored = leaf.fit_result.params.log_tie == -500.0
+            assert np.isnan(s.std_errors[j:][floored]).all()
+            assert np.isfinite(s.std_errors[j:][~floored]).all()
+
+
 class TestPredictNode:
     def test_single_leaf_routes_everywhere(self, planted):
         grouped, covs, _ = planted
