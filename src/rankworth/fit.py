@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DataError, ModelError
 from .likelihood import EventSet, Parameters
-from .network import adjacency, connectivity
+from .network import AdjacencyMatrix, connectivity
 from .rankings import RankingsTable
 
 __all__ = ["FitConfig", "ModelFit", "fit", "steffensen_accelerate", "convergence_check"]
@@ -230,15 +230,6 @@ def _scale(theta: np.ndarray, obs: np.ndarray, exp: np.ndarray,
     return _normalize_worth(np.where(failed, theta, new), n_items), failed
 
 
-def _scaling_update(params: Parameters, obs: np.ndarray, exp: np.ndarray) -> Parameters:
-    """One scaling sweep of a parameter vector; raises where the update
-    does not exist."""
-    new, failed = _scale(params.theta(), obs, exp, params.n_items)
-    if failed:
-        raise ModelError(NO_UPDATE_MESSAGE)
-    return Parameters.from_theta(new, params.n_items)
-
-
 def _start_theta(events: EventSet, config: FitConfig) -> np.ndarray:
     return Parameters.uniform(events.n_items, events.max_tie_order, config.tie_start).theta()
 
@@ -368,7 +359,7 @@ def fit(table: RankingsTable, config: FitConfig | None = None,
         config = replace(config, **overrides)
     if weights is not None:
         table = table.with_weights(weights)
-    return _fit_events(table, _compile(table, config), config)
+    return _fit_events(table.items, _compile(table, config), config)
 
 
 def _compile(table: RankingsTable, config: FitConfig, group_index=None) -> EventSet:
@@ -379,17 +370,17 @@ def _compile(table: RankingsTable, config: FitConfig, group_index=None) -> Event
                     allow_high_tie_orders=config.allow_high_tie_orders)
 
 
-def _fit_events(table: RankingsTable, events: EventSet, config: FitConfig) -> ModelFit:
-    """Solve the model on ``events``, the data of ``table`` (read only for
-    its items and, at ``npseudo = 0``, its win/loss network)."""
-    if config.npseudo == 0 and not connectivity(adjacency(table)).strongly_connected:
+def _fit_events(items: tuple[str, ...], events: EventSet, config: FitConfig) -> ModelFit:
+    """Solve the model on ``events``, the compiled data of ``items``."""
+    if (config.npseudo == 0
+            and not connectivity(AdjacencyMatrix(items, events.win_counts)).strongly_connected):
         raise ModelError(NOT_CONNECTED_MESSAGE)
     solve = _iterative_scaling if config.method == "iterative_scaling" else _newton
     theta, converged, iterations = solve(events, config)
     if not converged:
         warnings.warn("Iterations have not converged")
     return ModelFit(
-        params=Parameters.from_theta(theta, events.n_items), items=table.items,
+        params=Parameters.from_theta(theta, events.n_items), items=items,
         has_ghost=config.npseudo > 0, converged=converged, iterations=iterations,
         log_likelihood=events.loglik(theta, events.w_data, events.obs_data),
         npseudo=config.npseudo, method=config.method, config=config,

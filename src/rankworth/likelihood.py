@@ -21,13 +21,12 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError
-from .rankings import RankingsTable
+from .rankings import RankingsTable, _stages
 
 __all__ = [
     "MAX_TIE_ORDER",
@@ -83,13 +82,15 @@ class EventSet:
     """Flat, deduplicated representation of all choice events of a table.
 
     Events are unique alternative sets A (stages sharing the same A are
-    merged, accumulating weight); each event's admissible subsets are
-    enumerated once into flat arrays.  Log-strengths of all subsets are a
-    single sparse matrix-vector product ``B @ theta``, where theta is the
-    concatenated (log worth, log tie) vector, which makes log-likelihood,
-    expected statistics and the information matrix cheap to evaluate for
-    arbitrary event weightings (a tree compiles once and views each node
-    as a re-weighting by its groups, see :meth:`for_groups`).
+    merged, accumulating weight), numbered by first occurrence; each
+    event's admissible subsets are enumerated once into flat arrays.  The
+    table is read once, as array code over its stages, which also give the
+    observed statistics and the win/loss counts.  Log-strengths of all
+    subsets are a single sparse matrix-vector product ``B @ theta``, where
+    theta is the concatenated (log worth, log tie) vector, which makes
+    log-likelihood, expected statistics and the information matrix cheap to
+    evaluate for arbitrary event weightings (a tree compiles once and views
+    each node as a re-weighting by its groups, see :meth:`for_groups`).
 
     With ``npseudo > 0`` a ghost item is parameter J, after the J items.
     Its pseudo-comparisons "i beats ghost" and "ghost beats i" (weight
@@ -102,6 +103,13 @@ class EventSet:
         obs_data / obs_pseudo: observed sufficient statistics from each.
         noutcomes: possible outcomes per event.
         weight_scale: mean weight of the rows that give events (1 if none).
+        win_counts: (J, J) weighted counts of the real items' wins,
+            ``win_counts[i, j]`` the weight of the rows ranking item i
+            strictly above item j (the win/loss network of
+            :func:`rankworth.network.adjacency`).
+        group_event_weights / group_obs / group_win_counts: with
+            ``group_index``, the same per group, as a sparse (G, E), a dense
+            (G, P) and a sparse (G, J * J) matrix.
     """
 
     def __init__(self, table: RankingsTable, max_tie_order: int,
@@ -113,116 +121,84 @@ class EventSet:
                 f"{MAX_TIE_ORDER} must be enabled explicitly")
         if npseudo < 0:
             raise DataError("npseudo must be non-negative")
-        n_real = table.n_items
-        self.n_items = n_items = n_real + (npseudo > 0)
+        self.n_items = table.n_items + (npseudo > 0)
         self.max_tie_order = max_tie_order
-        self.n_params = n_items + (max_tie_order - 1)
+        self.n_params = self.n_items + (max_tie_order - 1)
 
-        want_groups = group_index is not None
-        n_groups = int(group_index.max()) if want_groups else 0
+        # the stage arrays are freed before the subsets are enumerated
+        self._build_subsets(self._read_stages(table, npseudo, group_index))
 
-        event_ids: dict[tuple[int, ...], int] = {}
-        ev_alts: list[tuple[int, ...]] = []
-        # flat accumulators, reduced with bincount after the row loop
-        evw_id: list[int] = []
-        evw_val: list[float] = []
-        obs_idx: list[int] = []
-        obs_val: list[float] = []
-        # with groups: the row and the number of observed entries of each record
-        rec_row: list[int] = []
-        rec_nobs: list[int] = []
-        row_weights: list[float] = []
+    def _read_stages(self, table: RankingsTable, npseudo: float, group_index) -> np.ndarray:
+        """Set the event weights, observed statistics and win counts from the
+        table's stages; return the (E, n_items) masks of the events' items."""
+        n_real, n_items, n_params = table.n_items, self.n_items, self.n_params
+        st = _stages(table)
+        size = st.chosen.sum(axis=1)
+        too_big = np.flatnonzero(size > self.max_tie_order)
+        if too_big.size:
+            s = too_big[0]
+            raise DataError(f"row {st.row[s]} has a tie of order {size[s]}, "
+                            f"above the limit {self.max_tie_order}")
+        # deduplicate alternative sets, numbering them by first occurrence
+        keys = np.packbits(st.alts, axis=1)
+        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        event = np.argsort(by_first)[inverse]
+        n_data_events = by_first.size
+        members = np.zeros((n_data_events + (npseudo > 0) * n_real, n_items), dtype=bool)
+        members[:n_data_events, :n_real] = st.alts[first[by_first]]
 
-        ranks = table.ranks
-        na = table.na_mask
-        wts = table.weights
-        for i in range(table.n_rows):
-            if na[i] or wts[i] == 0:
-                continue
-            w = float(wts[i])
-            row = ranks[i]
-            nz = np.flatnonzero(row)
-            if nz.size < 2:
-                continue
-            row_weights.append(w)
-            levels = row[nz]
-            order = np.argsort(levels, kind="stable")
-            items_ord = nz[order].tolist()
-            lvl_ord = levels[order].tolist()
-            n = len(items_ord)
-            pos = 0
-            while pos < n:
-                lvl = lvl_ord[pos]
-                q = pos + 1
-                while q < n and lvl_ord[q] == lvl:
-                    q += 1
-                if n - pos < 2:
-                    break
-                k = q - pos
-                if k > max_tie_order:
-                    raise DataError(
-                        f"row {i} has a tie of order {k}, above the limit {max_tie_order}")
-                alts = tuple(sorted(items_ord[pos:]))
-                eid = event_ids.get(alts)
-                if eid is None:
-                    eid = len(ev_alts)
-                    event_ids[alts] = eid
-                    ev_alts.append(alts)
-                evw_id.append(eid)
-                evw_val.append(w)
-                chosen = items_ord[pos:q]
-                share = w / k
-                for c in chosen:
-                    obs_idx.append(c)
-                    obs_val.append(share)
-                if k >= 2:
-                    obs_idx.append(n_items + k - 2)
-                    obs_val.append(w)
-                if want_groups:
-                    rec_row.append(i)
-                    rec_nobs.append(k + (k >= 2))
-                pos = q
+        # observed statistics: 1/|C| credit to each chosen item, one count
+        # of each tie; item and tie entries fill disjoint bins, each in stage order
+        c_stage, c_item = np.nonzero(st.chosen)
+        tied = np.flatnonzero(size >= 2)
+        obs_stage = np.concatenate([c_stage, tied])
+        obs_idx = np.concatenate([c_item, n_items + size[tied] - 2])
+        obs_val = np.concatenate([st.weight[c_stage] / size[c_stage], st.weight[tied]])
 
-        n_data_events = len(ev_alts)
-        self.weight_scale = float(np.mean(row_weights)) if row_weights else 1.0
-        self.obs_pseudo = np.zeros(self.n_params)
+        rows = np.unique(st.row)
+        self.weight_scale = float(np.mean(table.weights[rows])) if rows.size else 1.0
+        self.obs_pseudo = np.zeros(n_params)
         if npseudo > 0:
-            ev_alts.extend((i, n_real) for i in range(n_real))
+            # event {i, ghost} for each item i
+            members[n_data_events:] = np.eye(n_real, n_items, dtype=bool)
+            members[n_data_events:, n_real] = True
             self.obs_pseudo[:n_real] = npseudo
             # summed one by one as over table rows: J * npseudo may differ in the last bit
             for _ in range(n_real):
                 self.obs_pseudo[n_real] += npseudo
-        self.n_events = len(ev_alts)
-        self.w_data = np.bincount(evw_id, weights=evw_val, minlength=self.n_events)
-        self.obs_data = np.bincount(obs_idx, weights=obs_val, minlength=self.n_params)
+        self.n_events = len(members)
+        self.w_data = np.bincount(event, weights=st.weight, minlength=self.n_events)
+        self.obs_data = np.bincount(obs_idx, weights=obs_val, minlength=n_params)
         self.w_pseudo = np.zeros(self.n_events)
         self.w_pseudo[n_data_events:] = 2.0 * npseudo
-        if want_groups:
-            rec_group = group_index[np.asarray(rec_row, dtype=np.int64)] - 1
+        self.win_counts = st.win_counts()
+        if group_index is not None:
+            n_groups = int(group_index.max())
+            group = group_index[st.row] - 1
             self.group_event_weights = sp.csr_matrix(
-                (evw_val, (rec_group, evw_id)), shape=(n_groups, self.n_events))
-            g_obs_idx = (np.repeat(rec_group, rec_nobs) * self.n_params
-                         + np.asarray(obs_idx, dtype=np.int64))
+                (st.weight, (group, event)), shape=(n_groups, self.n_events))
             self.group_obs = np.bincount(
-                g_obs_idx, weights=obs_val,
-                minlength=n_groups * self.n_params).reshape(n_groups, self.n_params)
+                group[obs_stage] * n_params + obs_idx, weights=obs_val,
+                minlength=n_groups * n_params).reshape(n_groups, n_params)
+            win_stage, win = (np.concatenate(a) for a in zip(*st.wins()))
+            self.group_win_counts = sp.csr_matrix(
+                (st.weight[win_stage], (group[win_stage], win)),
+                shape=(n_groups, n_real * n_real))
+        return members
 
-        self._build_subsets(ev_alts)
-
-    def _build_subsets(self, ev_alts: list[tuple[int, ...]]) -> None:
+    def _build_subsets(self, members: np.ndarray) -> None:
         D = self.max_tie_order
-        sizes = np.array([len(a) for a in ev_alts], dtype=np.int64)
+        sizes = members.sum(axis=1)
         self.ev_sizes = sizes
-        self.noutcomes = np.array(
-            [sum(comb(int(m), k) for k in range(1, min(int(m), D) + 1)) for m in sizes],
-            dtype=np.int64)
 
         blocks_event: list[np.ndarray] = []
         blocks_items: list[np.ndarray] = []                 # (n_b, k) each
         for m in np.unique(sizes):
             m = int(m)
             idx = np.flatnonzero(sizes == m)
-            amat = np.array([ev_alts[e] for e in idx], dtype=np.int64)
+            amat = np.nonzero(members[idx])[1].reshape(idx.size, m)
             for k in range(1, min(m, D) + 1):
                 tmpl = np.array(list(itertools.combinations(range(m), k)), dtype=np.int64)
                 items = amat[:, tmpl]                       # (n_m, ncomb, k)
@@ -258,8 +234,9 @@ class EventSet:
         else:
             self.B = sp.csr_matrix((0, self.n_params))
 
-        counts = np.bincount(self.sub_event, minlength=self.n_events)
-        self.ev_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        # every admissible subset is a possible outcome of its event
+        self.noutcomes = np.bincount(self.sub_event, minlength=self.n_events)
+        self.ev_ptr = np.concatenate([[0], np.cumsum(self.noutcomes)]).astype(np.int64)
         # event aggregation matrix: rows = events, cols = subsets
         self.agg = sp.csr_matrix(
             (np.ones(n_sub), (self.sub_event, np.arange(n_sub))),
@@ -276,12 +253,14 @@ class EventSet:
         return self.obs_data + self.obs_pseudo
 
     def for_groups(self, mask: np.ndarray) -> "EventSet":
-        """A view sharing all structure, whose ``w_data``/``obs_data`` are the
-        sums over the groups in boolean ``mask`` (needs ``group_index``);
+        """A view sharing all structure, whose ``w_data``, ``obs_data`` and
+        ``win_counts`` are the sums over the groups in boolean ``mask`` (needs ``group_index``);
         pseudo events and ``weight_scale`` stay those of the whole set."""
         view = copy.copy(self)
         view.w_data = np.asarray(self.group_event_weights[mask].sum(axis=0)).ravel()
         view.obs_data = self.group_obs[mask].sum(axis=0)
+        view.win_counts = np.asarray(self.group_win_counts[mask].sum(axis=0)).reshape(
+            self.win_counts.shape)
         return view
 
     def df_outcomes(self) -> float:

@@ -1,12 +1,16 @@
 """Win/loss network derived from rankings.
 
 Each non-NA ranking implies directed "ranked higher than" edges between
-every pair of ranked items at different levels; ties imply no edge.  The
-maximum likelihood estimate of every log-worth is finite exactly when this
-directed network is strongly connected, so fitting at ``npseudo = 0``
-requires a connectivity check.  Pseudo-comparisons with a ghost item make
-any data estimable; fitting adds them as events of the likelihood engine,
-and :func:`augment_with_pseudo_rankings` writes them out as table rows.
+every pair of ranked items at different levels; ties imply no edge.  For
+strict rankings the maximum likelihood estimate of every log-worth is
+finite exactly when this directed network is strongly connected (Hunter
+2004).  With ties strong connectivity is neither necessary nor sufficient,
+but fitting at ``npseudo = 0`` still gates on it until an exact test of
+existence replaces the gate (ROADMAP.md, item 2).  A fit reads the network
+from the ``win_counts`` of its compiled event structure, not from the table.
+Pseudo-comparisons with a ghost item make any data estimable; fitting adds
+them as events of the likelihood engine, and
+:func:`augment_with_pseudo_rankings` writes them out as table rows.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DataError
-from .rankings import RankingsTable
+from .rankings import RankingsTable, _stages
 
 __all__ = [
     "GHOST_ITEM",
@@ -73,20 +77,9 @@ class ConnectivityReport:
 
 
 def adjacency(table: RankingsTable) -> AdjacencyMatrix:
-    """Accumulate weighted "ranked higher than" counts over non-NA rows."""
-    j = table.n_items
-    counts = np.zeros((j, j))
-    for i in range(table.n_rows):
-        if table.na_mask[i] or table.weights[i] == 0:
-            continue
-        w = table.weights[i]
-        row = table.ranks[i]
-        ranked = np.flatnonzero(row > 0)
-        r = row[ranked]
-        # higher rank level = worse position; edge from better to worse
-        better = r[:, None] < r[None, :]
-        counts[np.ix_(ranked, ranked)] += w * better
-    return AdjacencyMatrix(table.items, counts)
+    """Accumulate weighted "ranked higher than" counts over non-NA rows,
+    in row order, from the table's choice stages."""
+    return AdjacencyMatrix(table.items, _stages(table).win_counts())
 
 
 def connectivity(adj: AdjacencyMatrix) -> ConnectivityReport:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,6 +120,65 @@ class RankingsTable:
         head = self.formatted()[:6]
         tail = "" if self.n_rows <= 6 else f", ... ({self.n_rows} rows)"
         return f"RankingsTable({head}{tail})"
+
+
+# wins are enumerated a block of stages at a time, to bound memory
+_WIN_BLOCK = 1 << 15
+
+
+class Stages(NamedTuple):
+    """The choice stages of a table's usable rows (not NA, positive weight,
+    two or more ranked items), in row order and best first: each stage
+    chooses the best remaining level; a last stage with one item is left
+    out.  ``row`` and ``weight`` are those of each stage's row; ``alts`` and
+    ``chosen`` are (S, J) masks of its remaining and its chosen items."""
+
+    row: np.ndarray
+    weight: np.ndarray
+    alts: np.ndarray
+    chosen: np.ndarray
+
+    def wins(self):
+        """Yield every win as (stage, winner * J + loser), in stage order,
+        about ``_WIN_BLOCK`` wins or fewer at a time (one block at least):
+        at each stage every chosen item beats every remaining item not
+        chosen."""
+        j = self.alts.shape[1]
+        lost = self.alts & ~self.chosen
+        n_lost = lost.sum(axis=1)
+        step = max(1, _WIN_BLOCK // int((self.chosen.sum(axis=1) * n_lost).max(initial=1)))
+        for lo in range(0, max(len(self.row), 1), step):
+            c_stage, winner = np.nonzero(self.chosen[lo:lo + step])
+            loser = np.nonzero(lost[lo:lo + step])[1]
+            reps = n_lost[lo + c_stage]
+            # each win's loser: its stage's first loser, plus its place among them
+            at = np.repeat(np.cumsum(n_lost[lo:lo + step])[c_stage] - np.cumsum(reps), reps)
+            yield (lo + np.repeat(c_stage, reps),
+                   np.repeat(winner, reps) * j + loser[at + np.arange(at.size)])
+
+    def win_counts(self) -> np.ndarray:
+        """(J, J) weighted counts of item i ranked strictly above item j,
+        each summed in row order (``np.add.at`` adds in order)."""
+        j = self.alts.shape[1]
+        counts = np.zeros(j * j)
+        for stage, pair in self.wins():
+            np.add.at(counts, pair, self.weight[stage])
+        return counts.reshape(j, j)
+
+
+def _stages(table: RankingsTable) -> Stages:
+    """The choice stages of ``table``, from one sort of its usable rows."""
+    rows = np.flatnonzero(~table.na_mask & (table.weights != 0)
+                          & ((table.ranks > 0).sum(axis=1) >= 2))
+    j = table.n_items
+    dense = _dense_recode(table.ranks[rows]).astype(np.min_scalar_type(j))
+    # items per (row, level); a level is a stage while two or more items remain
+    per_level = np.bincount((np.arange(rows.size)[:, None] * (j + 1) + dense).ravel(),
+                            minlength=rows.size * (j + 1)).reshape(rows.size, j + 1)[:, 1:]
+    remaining = np.cumsum(per_level[:, ::-1], axis=1)[:, ::-1]
+    r, level = np.nonzero((per_level > 0) & (remaining >= 2))
+    codes, level = dense[r], level[:, None] + 1
+    return Stages(rows[r], table.weights[rows[r]], codes >= level, codes == level)
 
 
 def from_rank_matrix(matrix, item_names, weights=None) -> RankingsTable:
@@ -251,22 +311,6 @@ def format_ranking(row, items, width: int | None = None) -> str:
     return out
 
 
-def parse_ranking(text: str, items) -> np.ndarray:
-    """Inverse of :func:`format_ranking` for non-truncated strings."""
-    items = tuple(items)
-    index = {name: j for j, name in enumerate(items)}
-    row = np.zeros(len(items), dtype=np.int64)
-    if text.strip() == "NA":
-        return row
-    for rank, level in enumerate(text.split(" > "), start=1):
-        for name in level.split(" = "):
-            name = name.strip()
-            if name not in index:
-                raise DataError(f"unknown item name {name!r}")
-            row[index[name]] = rank
-    return row
-
-
 def subset_items(table: RankingsTable, keep_items) -> RankingsTable:
     """Drop all columns outside ``keep_items``; affected rows are recoded
     and rows left with fewer than two ranked items are flagged NA.
@@ -304,15 +348,6 @@ class GroupedRankings:
     @property
     def n_groups(self) -> int:
         return int(self.group_index.max()) if self.group_index.size else 0
-
-    def rows_of(self, group: int) -> np.ndarray:
-        """Row indices belonging to ``group`` (1-based id)."""
-        return np.flatnonzero(self.group_index == group)
-
-    def group_table(self, group: int) -> RankingsTable:
-        idx = self.rows_of(group)
-        t = self.rankings
-        return RankingsTable(t.items, t.ranks[idx], t.weights[idx], t.na_mask[idx])
 
 
 def group_rankings(table: RankingsTable, group_index) -> GroupedRankings:

@@ -515,10 +515,7 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
     def node_fit(group_ids: np.ndarray) -> ModelFit:
         mask = np.zeros(grouped.n_groups, dtype=bool)
         mask[group_ids - 1] = True
-        in_node = table
-        if config.fit_config.npseudo == 0:      # the node's rows, for its network
-            in_node = table.with_weights(table.weights * mask[grouped.group_index - 1])
-        return _fit_events(in_node, events.for_groups(mask), config.fit_config)
+        return _fit_events(table.items, events.for_groups(mask), config.fit_config)
 
     def build(group_ids: np.ndarray, depth: int, fitted: ModelFit) -> PLNode:
         node = PLNode(node_id=next(counter), depth=depth,
@@ -566,7 +563,7 @@ def grow_tree(grouped: GroupedRankings, covariates: CovariateFrame,
         return node
 
     root = build(np.arange(1, grouped.n_groups + 1), 1,
-                 _fit_events(table, events, config.fit_config))
+                 _fit_events(table.items, events, config.fit_config))
     return PLTree(root, table.items, tuple(covariates.names()), config)
 
 

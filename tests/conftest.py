@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import rankworth as rw
 from rankworth.datasets import load_abcd, load_disconnected, load_pudding
@@ -163,6 +164,66 @@ def row_stages(row):
         if len(alts) < 2:
             break
         yield block, alts
+
+
+def compile_oracle(table, max_tie_order, group_index=None):
+    """Row-by-row compile of a table, stage by stage in row order.
+
+    Returns the alternative sets of the events (sorted tuples, in order of
+    first occurrence), their weights, the observed statistics and the win
+    counts (every chosen item beats every remaining item not chosen), each
+    summed in stage order.  With ``group_index`` it adds the per-group
+    observed statistics and event weights; the latter are summed from the
+    (group, event, weight) records by the engine's sparse constructor,
+    whose order of summation is its own, so that the records and their
+    order are what is compared.
+    """
+    j = table.n_items
+    n_params = j + max_tie_order - 1
+    n_groups = int(group_index.max()) if group_index is not None else 1
+    events, w_data, records = {}, [], []
+    obs = np.zeros(n_params)
+    group_obs = np.zeros((n_groups, n_params))
+    wins = np.zeros((j, j))
+    for i in range(table.n_rows):
+        wt = table.weights[i]
+        if table.na_mask[i] or wt == 0:
+            continue
+        g = group_index[i] - 1 if group_index is not None else 0
+        for block, alts in row_stages(table.ranks[i]):
+            e = events.setdefault(tuple(sorted(alts)), len(events))
+            if e == len(w_data):
+                w_data.append(0.0)
+            w_data[e] += wt
+            records.append((g, e, wt))
+            k = len(block)
+            for acc in (obs, group_obs[g]):
+                for c in block:
+                    acc[c] += wt / k
+                if k >= 2:
+                    acc[j + k - 2] += wt
+            for c in block:
+                for loser in alts:
+                    if loser not in block:
+                        wins[c, loser] += wt
+    out = {"events": list(events), "w_data": np.array(w_data), "obs_data": obs,
+           "wins": wins}
+    if group_index is not None:
+        g, e, wt = (np.array(a) for a in zip(*records)) if records else ([], [], [])
+        out["group_obs"] = group_obs
+        out["group_event_weights"] = sp.csr_matrix(
+            (wt, (g, e)), shape=(n_groups, len(events))).toarray()
+    return out
+
+
+def event_alternatives(ev):
+    """The alternative set of every event of an :class:`EventSet`: the
+    items of its single-item subsets (the rows of ``B`` with one entry)."""
+    single = np.flatnonzero(np.diff(ev.B.indptr) == 1)
+    alts = [[] for _ in range(ev.n_events)]
+    for sub, item in zip(single, ev.B.indices[ev.B.indptr[single]]):
+        alts[ev.sub_event[sub]].append(int(item))
+    return [tuple(sorted(a)) for a in alts]
 
 
 def brute_force_row_probability(row, params):

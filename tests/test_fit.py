@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import rankworth as rw
 from rankworth.errors import DataError, ModelError
-from rankworth.fit import _scaling_update
+from rankworth.fit import _scale
 from rankworth.likelihood import EventSet
 from tests.conftest import brute_force_loglik, random_table
 
@@ -32,8 +32,9 @@ class TestIterativeScalingStep:
         params = rw.Parameters(np.log([0.75, 0.25]), np.zeros(0))
         ev = EventSet(two_item_31, 1)
         exp = ev.expected(params.theta(), ev.w_data)
-        new = _scaling_update(params, ev.obs_data, exp)
-        assert np.allclose(new.log_worth, params.log_worth, atol=1e-12)
+        new, failed = _scale(params.theta(), ev.obs_data, exp, params.n_items)
+        assert not failed
+        assert np.allclose(new, params.theta(), atol=1e-12)
 
     def test_converges_to_binomial_mle(self, two_item_31):
         m = quiet_fit(two_item_31, npseudo=0, tol=1e-12)
@@ -303,9 +304,9 @@ class TestInvariants:
             theta = Parameters.uniform(4, t.max_tie_order()).theta()
             prev = ev.loglik(theta, ev.w_data, ev.obs_data)
             for _ in range(40):
-                p = Parameters.from_theta(theta, 4)
                 exp = ev.expected(theta, ev.w_data)
-                theta = _scaling_update(p, ev.obs_data, exp).theta()
+                theta, failed = _scale(theta, ev.obs_data, exp, 4)
+                assert not failed
                 ll = ev.loglik(theta, ev.w_data, ev.obs_data)
                 assert ll >= prev - 1e-12
                 prev = ll
@@ -377,11 +378,10 @@ class TestInvariants:
 
     def test_zero_expected_with_positive_observed_raises(self):
         # structurally impossible stats are reported, not silently broken
-        from rankworth.likelihood import Parameters
-
-        p = Parameters(np.log([0.5, 0.5]), np.zeros(0))
-        with pytest.raises(ModelError):
-            _scaling_update(p, np.array([1.0, 1.0]), np.array([0.0, 2.0]))
+        theta = np.log([0.5, 0.5])
+        new, failed = _scale(theta, np.array([1.0, 1.0]), np.array([0.0, 2.0]), 2)
+        assert failed
+        assert np.array_equal(new, theta)
 
 
 # Properties the model says an estimate cannot depend on, at npseudo 0.5

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankworth as rw
 from rankworth.errors import DataError
@@ -16,9 +18,11 @@ from tests.conftest import (
     brute_force_loglik,
     brute_force_row_probability,
     brute_force_stats,
+    compile_oracle,
     engine_loglik,
     engine_row_logliks,
     enumerate_tied_rankings,
+    event_alternatives,
     random_params,
     random_table,
 )
@@ -337,6 +341,87 @@ class TestChoiceEvents:
         assert ev.n_events == 2
         assert ev.ev_sizes.tolist() == [3, 2]
         assert ev.obs_data.tolist() == [1.0, 0.5, 0.5, 1.0]
+
+
+def random_compile_table(rng):
+    """A small random table with ties of order up to 3, partial rows, NA
+    rows (zero or one ranked item), zero, integer and fractional weights,
+    and now and then rank codes with gaps (built directly, not recoded)."""
+    j = int(rng.integers(2, 7))
+    n = int(rng.integers(1, 13))
+    ranks = np.zeros((n, j), dtype=np.int64)
+    for r in range(n):
+        items = rng.permutation(j)[:int(rng.integers(0, j + 1))]
+        pos, level = 0, 1
+        while pos < items.size:
+            k = int(rng.integers(1, 4))
+            ranks[r, items[pos:pos + k]] = level
+            pos += k
+            level += 1 if rng.random() < 0.8 else 2
+    weights = rng.choice([0.0, 1.0, 2.0, 0.1, 1 / 3, 2.7], size=n)
+    weights[rng.random(n) < 0.3] = rng.random()
+    return rw.RankingsTable(tuple(f"i{k}" for k in range(j)), ranks, weights,
+                            (ranks > 0).sum(axis=1) < 2)
+
+
+class TestOnePassCompile:
+    """The vectorized stage pass against the row-by-row oracle: the same
+    events in the same order, and every sum taken in the same order."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_loop_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        t = random_compile_table(rng)
+        d = t.max_tie_order()
+        gidx = rng.integers(1, int(rng.integers(1, 4)) + 1, t.n_rows)
+        want = compile_oracle(t, d, gidx)
+        ev = EventSet(t, d, group_index=gidx)
+        assert event_alternatives(ev) == want["events"]
+        assert np.array_equal(ev.w_data, want["w_data"])
+        assert np.array_equal(ev.obs_data, want["obs_data"])
+        assert np.array_equal(ev.group_event_weights.toarray(), want["group_event_weights"])
+        assert np.array_equal(ev.group_obs, want["group_obs"])
+        assert np.array_equal(ev.win_counts, want["wins"])
+        assert np.array_equal(rw.adjacency(t).counts, want["wins"])
+
+        # a node's network: per-group counts summed over its groups
+        mask = rng.random(gidx.max()) < 0.5
+        summed = ev.for_groups(mask).win_counts
+        direct = rw.adjacency(t.with_weights(t.weights * mask[gidx - 1])).counts
+        # the same wins, summed group by group rather than row by row
+        assert np.array_equal(summed > 0, direct > 0)
+        assert np.allclose(summed, direct, rtol=1e-13, atol=0)
+        items = t.items
+        assert (rw.connectivity(rw.AdjacencyMatrix(items, summed))
+                == rw.connectivity(rw.AdjacencyMatrix(items, direct)))
+
+    def test_wins_do_not_depend_on_the_block_size(self, monkeypatch):
+        # wins are enumerated a block of stages at a time; each count
+        # continues its sum from block to block, in row order
+        rng = np.random.default_rng(5)
+        m = np.array([rng.permutation(8) + 1 for _ in range(300)])
+        m[::3, :3] = 1
+        t = rw.from_rank_matrix(m, list("abcdefgh"), weights=rng.random(300))
+        gidx = np.arange(300) % 7 + 1
+        d = t.max_tie_order()
+        want = compile_oracle(t, d, gidx)["wins"]
+        for block in (1, 7, 1000):
+            monkeypatch.setattr(rw.rankings, "_WIN_BLOCK", block)
+            assert np.array_equal(rw.adjacency(t).counts, want)
+            ev = EventSet(t, d, group_index=gidx)
+            assert np.array_equal(ev.win_counts, want)
+            assert np.allclose(ev.group_win_counts.sum(axis=0).reshape(8, 8), want,
+                               rtol=1e-13, atol=0)
+
+    def test_first_row_above_the_limit_is_named(self):
+        t = rw.from_rank_matrix([[1, 2, 3], [1, 1, 2], [2, 1, 1], [1, 1, 1]], list("abc"))
+        with pytest.raises(DataError, match="row 1 has a tie of order 2, above the limit 1"):
+            EventSet(t, 1)
+        with pytest.raises(DataError, match="row 3 has a tie of order 3, above the limit 2"):
+            EventSet(t.with_weights([1.0, 1.0, 1.0, 1.0]), 2)
+        with pytest.raises(DataError, match="row 2 has a tie of order 2, above the limit 1"):
+            EventSet(t.with_weights([1.0, 0.0, 1.0, 1.0]), 1)
 
 
 class TestPseudoComparisons:

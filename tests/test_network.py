@@ -1,9 +1,13 @@
 """Win/loss network: adjacency counts, connectivity, pseudo-rankings."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
 import rankworth as rw
+from rankworth.errors import DataError, ModelError
 from rankworth.network import GHOST_ITEM
 
 
@@ -147,3 +151,47 @@ class TestCsvExport(object):
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "item,A,B,C,D"
         assert lines[1].startswith("A,0,1,0,1")
+
+
+class TestNetworkFromCompiledCounts:
+    """``fit`` and ``grow_tree`` read the win/loss network from the win
+    counts of the compiled event structure; the table is read once."""
+
+    @pytest.fixture
+    def no_adjacency(self, monkeypatch):
+        original = rw.network.adjacency
+
+        def refuse(table):
+            raise AssertionError("network.adjacency was called")
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "rankworth":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+
+    @pytest.mark.parametrize("method", ["iterative_scaling", "quasi_newton"])
+    def test_fit_at_npseudo_zero(self, pudding, disconnected, no_adjacency, method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert rw.fit(pudding, npseudo=0, method=method).converged
+            with pytest.raises(ModelError, match="not fully connected"):
+                rw.fit(disconnected, npseudo=0, method=method)
+            empty = rw.from_rank_matrix([[1, 0]], ["a", "b"])
+        with pytest.raises(DataError, match="no usable rankings"):
+            rw.fit(empty, npseudo=0, method=method)
+
+    def test_tree_child_networks_at_npseudo_zero(self, no_adjacency):
+        # each side alone ranks {a, b} above {c, d}: the split on x has
+        # children whose networks, summed over their groups, are disconnected
+        side = {0: [[1, 2, 3, 4], [2, 1, 4, 3]], 1: [[3, 4, 1, 2], [4, 3, 2, 1]]}
+        rows = [row for g in range(40) for row in side[g % 2]]
+        grouped = rw.group_rankings(rw.from_rank_matrix(np.array(rows), list("abcd")),
+                                    np.repeat(np.arange(1, 41), 2))
+        covs = rw.CovariateFrame.from_dict({"x": [g % 2 for g in range(40)]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = rw.grow_tree(grouped, covs, minsize=5, fit_config=rw.FitConfig(npseudo=0))
+        assert tree.root.is_leaf
+        assert "x <= 0.5 cannot be fitted" in tree.root.stop_reason
+        assert "not fully connected" in tree.root.stop_reason
