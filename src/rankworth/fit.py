@@ -66,8 +66,8 @@ class FitConfig:
         steffensen_threshold: acceleration starts once the convergence
             measure falls below this value.
         tie_start: starting value for every tie prevalence parameter.
-        allow_high_tie_orders: permit ties above order 4 (enumeration cost
-            grows combinatorially; off by default).
+
+    Ties of any order fit: the model's tie order is the table's largest tie.
     """
 
     npseudo: float = 0.5
@@ -76,17 +76,16 @@ class FitConfig:
     tol: float = 1e-6
     steffensen_threshold: float = 0.1
     tie_start: float = 0.1
-    allow_high_tie_orders: bool = False
 
     def __post_init__(self):
-        if self.npseudo < 0:
-            raise DataError("npseudo must be non-negative")
+        if not (np.isfinite(self.npseudo) and self.npseudo >= 0):
+            raise DataError(f"npseudo must be finite and non-negative, not {self.npseudo}")
         if self.method not in _METHODS:
             raise DataError(f"method must be one of {_METHODS}")
         if self.maxit < 1:
             raise DataError("maxit must be at least 1")
-        if self.tol <= 0:
-            raise DataError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise DataError(f"tol must be finite and positive, not {self.tol}")
 
 
 @dataclass
@@ -366,8 +365,7 @@ def _compile(table: RankingsTable, config: FitConfig, group_index=None) -> Event
     """The event structure of a table with usable rankings, at its tie order."""
     if not ((~table.na_mask) & (table.weights > 0)).any():
         raise DataError("no usable rankings: all rows are NA or zero-weight")
-    return EventSet(table, table.max_tie_order(), config.npseudo, group_index,
-                    allow_high_tie_orders=config.allow_high_tie_orders)
+    return EventSet(table, table.max_tie_order(), config.npseudo, group_index)
 
 
 def _fit_events(items: tuple[str, ...], events: EventSet, config: FitConfig) -> ModelFit:

@@ -9,17 +9,17 @@ with delta_1 = 1, and the stage probability is f(C) divided by the sum of
 f(S) over every subset S of A with 1 <= |S| <= min(|A|, D).  Stages with a
 single remaining item have probability one and are skipped throughout.
 
-All strengths are evaluated in log space and denominators use log-sum-exp,
-so extreme worth spreads stay finite.  :class:`EventSet` is the one
-evaluator of the likelihood, its gradient and its information; fitting,
-inference and trees all run on it.  The test suite checks it against
-plain-arithmetic brute-force oracles.
+No subset is listed, so ties of any order fit: the size-k subsets of A sum
+to delta_k * e_k(alpha^(1/k)), e_k the k-th elementary symmetric polynomial
+(Baker & Harwell 1996, Appl. Psych. Meas. 20) of worths shifted by their
+event's largest.  :class:`EventSet` is the one evaluator of the likelihood,
+its gradient and its information, checked against brute-force oracles.
 """
 
 from __future__ import annotations
 
 import copy
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +28,7 @@ import scipy.sparse as sp
 from .errors import DataError
 from .rankings import RankingsTable, _stages
 
-__all__ = [
-    "MAX_TIE_ORDER",
-    "Parameters",
-    "EventSet",
-]
-
-# Subset enumeration grows as C(|A|, k); beyond 4-way ties the model is not
-# practical and the builder refuses unless explicitly overridden.
-MAX_TIE_ORDER = 4
+__all__ = ["Parameters", "EventSet"]
 
 
 @dataclass(frozen=True)
@@ -82,15 +74,12 @@ class EventSet:
     """Flat, deduplicated representation of all choice events of a table.
 
     Events are unique alternative sets A (stages sharing the same A are
-    merged, accumulating weight), numbered by first occurrence; each
-    event's admissible subsets are enumerated once into flat arrays.  The
-    table is read once, as array code over its stages, which also give the
-    observed statistics and the win/loss counts.  Log-strengths of all
-    subsets are a single sparse matrix-vector product ``B @ theta``, where
-    theta is the concatenated (log worth, log tie) vector, which makes
-    log-likelihood, expected statistics and the information matrix cheap to
-    evaluate for arbitrary event weightings (a tree compiles once and views
-    each node as a re-weighting by its groups, see :meth:`for_groups`).
+    merged, accumulating weight), numbered by first occurrence and read
+    once, with the observed statistics and win/loss counts, from the
+    table's stages.  Their items are laid out flat, one slot per item:
+    order 1 of a normalizer is a log-sum-exp over slots, and for D > 1 the
+    tie orders are ESPs over a padded (max |A|, E) index into the slots.
+    A tree views each node as a re-weighting by groups (:meth:`for_groups`).
 
     With ``npseudo > 0`` a ghost item is parameter J, after the J items.
     Its pseudo-comparisons "i beats ghost" and "ghost beats i" (weight
@@ -101,7 +90,10 @@ class EventSet:
     Attributes:
         w_data / w_pseudo: per-event weight from table rows / pseudo-comparisons.
         obs_data / obs_pseudo: observed sufficient statistics from each.
-        noutcomes: possible outcomes per event.
+        slot_event / slot_item, ev_sizes: event and item of every slot; |A|.
+        noutcomes: possible outcomes (admissible subsets) of each event,
+            never listed; ``n_subsets`` is their sum.
+        n_cells: values per column in one evaluation's working arrays.
         weight_scale: mean weight of the rows that give events (1 if none).
         win_counts: (J, J) weighted counts of the real items' wins,
             ``win_counts[i, j]`` the weight of the rows ranking item i
@@ -113,20 +105,32 @@ class EventSet:
     """
 
     def __init__(self, table: RankingsTable, max_tie_order: int,
-                 npseudo: float = 0.0, group_index=None,
-                 allow_high_tie_orders: bool = False):
-        if max_tie_order > MAX_TIE_ORDER and not allow_high_tie_orders:
-            raise DataError(
-                f"ties up to order {max_tie_order} requested; orders above "
-                f"{MAX_TIE_ORDER} must be enabled explicitly")
-        if npseudo < 0:
-            raise DataError("npseudo must be non-negative")
+                 npseudo: float = 0.0, group_index=None):
+        if not (np.isfinite(npseudo) and npseudo >= 0):
+            raise DataError(f"npseudo must be finite and non-negative, not {npseudo}")
         self.n_items = table.n_items + (npseudo > 0)
         self.max_tie_order = max_tie_order
         self.n_params = self.n_items + (max_tie_order - 1)
 
-        # the stage arrays are freed before the subsets are enumerated
-        self._build_subsets(self._read_stages(table, npseudo, group_index))
+        # the stage arrays are freed before the slots are laid out
+        members = self._read_stages(table, npseudo, group_index)
+        self.slot_event, self.slot_item = np.nonzero(members)
+        n, n_events, self.ev_sizes = self.slot_item.size, self.n_events, members.sum(axis=1)
+        self._ev_first = np.cumsum(self.ev_sizes) - self.ev_sizes
+        self._item_sums = sp.csr_matrix((np.ones(n), (self.slot_item, np.arange(n))),
+                                        shape=(self.n_items, n))
+        width = int(self.ev_sizes.max(initial=0))
+        outcomes = [sum(math.comb(m, k) for k in range(1, min(m, max_tie_order) + 1))
+                    for m in range(width + 1)]
+        self.noutcomes = np.array(outcomes, float)[self.ev_sizes]
+        self.n_subsets = int(self.noutcomes.sum())
+        self.n_cells = n + (max_tie_order > 1) * 2 * (width + 1) * (max_tie_order + 1) * n_events
+        if max_tie_order > 1:
+            # the slot of each event's i-th item (slot n pads), and each slot's cell
+            pos = np.arange(n) - self._ev_first[self.slot_event]
+            self._pad = np.full((width, n_events), n)
+            self._pad[pos, self.slot_event] = np.arange(n)
+            self._cell = pos * n_events + self.slot_event
 
     def _read_stages(self, table: RankingsTable, npseudo: float, group_index) -> np.ndarray:
         """Set the event weights, observed statistics and win counts from the
@@ -188,60 +192,6 @@ class EventSet:
                 shape=(n_groups, n_real * n_real))
         return members
 
-    def _build_subsets(self, members: np.ndarray) -> None:
-        D = self.max_tie_order
-        sizes = members.sum(axis=1)
-        self.ev_sizes = sizes
-
-        blocks_event: list[np.ndarray] = []
-        blocks_items: list[np.ndarray] = []                 # (n_b, k) each
-        for m in np.unique(sizes):
-            m = int(m)
-            idx = np.flatnonzero(sizes == m)
-            amat = np.nonzero(members[idx])[1].reshape(idx.size, m)
-            for k in range(1, min(m, D) + 1):
-                tmpl = np.array(list(itertools.combinations(range(m), k)), dtype=np.int64)
-                items = amat[:, tmpl]                       # (n_m, ncomb, k)
-                blocks_items.append(items.reshape(-1, k))
-                blocks_event.append(np.repeat(idx, tmpl.shape[0]))
-
-        sub_event = np.concatenate(blocks_event) if blocks_event else np.zeros(0, dtype=np.int64)
-        order = np.argsort(sub_event, kind="stable")
-        self.sub_event = sub_event[order]
-        n_sub = self.sub_event.shape[0]
-        self.n_subsets = n_sub
-
-        # invert the sort permutation to place per-block data
-        inv = np.empty(n_sub, dtype=np.int64)
-        inv[order] = np.arange(n_sub)
-
-        rows, cols, vals = [], [], []
-        offset = 0
-        for b in blocks_items:
-            n_b, k = b.shape
-            rows.append(np.repeat(inv[offset:offset + n_b], k))
-            cols.append(b.reshape(-1))
-            vals.append(np.full(n_b * k, 1.0 / k))
-            if k >= 2:
-                rows.append(inv[offset:offset + n_b])
-                cols.append(np.full(n_b, self.n_items + k - 2, dtype=np.int64))
-                vals.append(np.ones(n_b))
-            offset += n_b
-        if rows:
-            self.B = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n_sub, self.n_params))
-        else:
-            self.B = sp.csr_matrix((0, self.n_params))
-
-        # every admissible subset is a possible outcome of its event
-        self.noutcomes = np.bincount(self.sub_event, minlength=self.n_events)
-        self.ev_ptr = np.concatenate([[0], np.cumsum(self.noutcomes)]).astype(np.int64)
-        # event aggregation matrix: rows = events, cols = subsets
-        self.agg = sp.csr_matrix(
-            (np.ones(n_sub), (self.sub_event, np.arange(n_sub))),
-            shape=(self.n_events, n_sub))
-
     # -- weights ------------------------------------------------------
 
     @property
@@ -269,40 +219,62 @@ class EventSet:
 
     # -- evaluation ---------------------------------------------------
 
-    # Evaluation takes one parameter vector theta (P,) with event weights
-    # (E,) and observed statistics (P,), or C columns of each: theta
-    # (P, C), weights (E, C), obs (P, C), evaluated column by column.  A
-    # single column takes the 1-D path, which is faster and keeps its
-    # arithmetic.
+    # theta (P,), weights (E,) and obs (P,), or C columns of each; sums run in one
+    # order, so a column gives exactly the numbers of a 1-D call (faster for C = 1).
 
-    def _log_denominators(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        logf = self.B @ theta
-        if self.n_events == 0:
-            return logf, np.zeros((0,) + theta.shape[1:])
-        m = np.maximum.reduceat(logf, self.ev_ptr[:-1])
-        shifted = np.exp(logf - m[self.sub_event])
-        denom = np.add.reduceat(shifted, self.ev_ptr[:-1])
-        return logf, m + np.log(denom)
+    def _log_denominators(self, theta: np.ndarray, credits: bool = False):
+        """Every event's log normalizer (E, ...) at theta (P, ...).  With
+        ``credits``, also each slot's expected credit (N, ...), each event's
+        tie-order probabilities (E, D - 1, ...), and per order k the slots'
+        credit from k-item outcomes, with, for k >= 2, the padded shifted
+        worths to the power 1/k and delta_k over the shifted normalizer."""
+        shifted = theta[self.slot_item]
+        top = np.maximum.reduceat(shifted, self._ev_first)
+        shifted -= np.repeat(top, self.ev_sizes, axis=0)
+        pad = (np.concatenate([shifted, np.full((1,) + theta.shape[1:], -np.inf)])[self._pad]
+               if self.max_tie_order > 1 else None)
+        first = np.exp(shifted, out=shifted)
+        logs, loos = [np.log(np.add.reduceat(first, self._ev_first))], []
+        with np.errstate(divide="ignore", invalid="ignore"):  # ESPs may underflow to 0
+            for k in range(2, self.max_tie_order + 1):
+                z = np.exp(pad / k)
+                pre = _esp_prefixes(z, k)
+                logs.append(theta[self.n_items + k - 2] + np.log(pre[-1, k]))
+                loos.append((k, z, _leave_one_out(z, k - 1, pre) if credits else None))
+            rel = np.logaddexp.reduce(logs) if loos else logs[0]
+        if not credits:
+            return top + rel
+        first *= np.repeat(np.exp(-rel), self.ev_sizes, axis=0)
+        orders = [(1, first, None, None)]
+        for k, z, loo in loos:
+            scale = np.exp(theta[self.n_items + k - 2] - rel)
+            share = (scale / k * z * loo).reshape((-1,) + theta.shape[1:])[self._cell]
+            orders.append((k, share, z, scale))
+        ties = np.exp(np.stack(logs, axis=1)[:, 1:] - rel[:, None])
+        return top + rel, sum(share for _, share, *_ in orders), ties, orders
+
+    def _means(self, credit: np.ndarray, ties: np.ndarray) -> np.ndarray:
+        """(E, P) expected statistics of each event of weight one."""
+        means = np.zeros((self.n_events, self.n_params))
+        means[self.slot_event, self.slot_item] = credit
+        means[:, self.n_items:] = ties
+        return means
 
     def loglik(self, theta: np.ndarray, weights: np.ndarray, obs: np.ndarray):
         """Log-likelihood: a float, or one value per column."""
         if theta.ndim == 2 and theta.shape[1] == 1:
             return np.array([self.loglik(theta[:, 0], weights[:, 0], obs[:, 0])])
-        _, logden = self._log_denominators(theta)
-        if theta.ndim == 1:
-            return float(obs @ theta - weights @ logden)
-        return np.sum(obs * theta, axis=0) - np.sum(weights * logden, axis=0)
-
-    def outcome_probs(self, theta: np.ndarray) -> np.ndarray:
-        logf, logden = self._log_denominators(theta)
-        return np.exp(logf - logden[self.sub_event])
+        ll = _total(obs * theta) - _total(weights * self._log_denominators(theta))
+        return float(ll) if theta.ndim == 1 else ll
 
     def expected(self, theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Expected sufficient statistics under event ``weights``."""
         if theta.ndim == 2 and theta.shape[1] == 1:
             return self.expected(theta[:, 0], weights[:, 0])[:, None]
-        p = self.outcome_probs(theta)
-        return self.B.T @ (weights[self.sub_event] * p)
+        _, credit, ties, _ = self._log_denominators(theta, credits=True)
+        return np.concatenate([
+            self._item_sums @ (np.repeat(weights, self.ev_sizes, axis=0) * credit),
+            _total(weights[:, None] * ties)])
 
     def gradient(self, theta: np.ndarray, weights: np.ndarray, obs: np.ndarray) -> np.ndarray:
         return obs - self.expected(theta, weights)
@@ -311,20 +283,53 @@ class EventSet:
         """Observed information (= negative Hessian) of the log-likelihood
         in the full theta parameterization; a sum of per-event outcome
         covariances, hence symmetric positive semidefinite."""
-        p = self.outcome_probs(theta)
-        full = (self.B.multiply((weights[self.sub_event] * p)[:, None])).T @ self.B
-        means = self._event_means(p)
-        return full.toarray() - means.T @ (weights[:, None] * means)
+        j = self.n_items
+        _, credit, ties, orders = self._log_denominators(theta, credits=True)
+        w_slot = np.repeat(weights, self.ev_sizes, axis=0)
+        # second moments of item credits and tie counts, by order of outcome
+        square = sum(share / k for k, share, *_ in orders)
+        second = np.diag(np.concatenate([self._item_sums @ (w_slot * square),
+                                         _total(weights[:, None] * ties)]))
+        for k, share, z, scale in orders[1:]:
+            second[j + k - 2, :j] = second[:j, j + k - 2] = self._item_sums @ (w_slot * share)
+            two = np.ones(z.shape[:1] + z.shape)  # leave-two-out ESPs; row a: z[a] set to 0
+            for a in range(len(z) if k > 2 else 0):
+                two[a] = _leave_one_out(np.where(np.arange(len(z))[:, None] == a, 0.0, z), k - 2)
+            pair = weights * scale / k ** 2 * z[:, None] * z * two
+            pair[np.diag_indices(len(z))] = 0.0
+            items = np.append(self.slot_item, 0)[self._pad]
+            second[:j, :j] += np.bincount((items[:, None] * j + items).ravel(), pair.ravel(),
+                                          minlength=j * j).reshape(j, j)
+        means = self._means(credit, ties)
+        return second - means.T @ (weights[:, None] * means)
 
     def group_scores(self, theta: np.ndarray) -> np.ndarray:
         """Per-group (observed - expected) statistic vectors at ``theta``.
 
         Requires the structure to have been built with ``group_index``.
         """
-        return self.group_obs - self.group_event_weights @ self._event_means(
-            self.outcome_probs(theta))
+        return self.group_obs - self.group_event_weights @ self._means(
+            *self._log_denominators(theta, credits=True)[1:3])
 
-    def _event_means(self, p: np.ndarray) -> np.ndarray:
-        """(E, P) expected statistics of each event, of weight one, under
-        outcome probabilities ``p``."""
-        return (self.agg @ self.B.multiply(p[:, None])).toarray()
+
+def _total(values: np.ndarray):
+    """Sum over the first axis, in one order whatever the trailing shape."""
+    return np.add.reduceat(values, [0])[0] if len(values) else np.zeros(values.shape[1:])
+
+
+def _esp_prefixes(z: np.ndarray, order: int) -> np.ndarray:
+    """ESPs of orders 0..``order`` of z[:j], j = 0..len(z): (len(z) + 1, order + 1, ...)."""
+    out = np.zeros((z.shape[0] + 1, order + 1) + z.shape[1:])
+    out[:, 0] = 1.0
+    for j in range(z.shape[0]):
+        out[j + 1, 1:] = out[j, 1:] + z[j] * out[j, :-1]
+    return out
+
+
+def _leave_one_out(z: np.ndarray, order: int, pre: np.ndarray | None = None) -> np.ndarray:
+    """ESP of ``order`` of z without entry i, for every i, from the prefix
+    ESPs ``pre`` (of at least that order) and the suffix ESPs."""
+    pre = _esp_prefixes(z, order) if pre is None else pre
+    suf = _esp_prefixes(z[::-1], order)[::-1]
+    return sum(pre[:-1, q] * suf[1:, order - q] for q in range(order + 1))
+

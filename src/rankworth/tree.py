@@ -275,8 +275,7 @@ def score_contributions(grouped: GroupedRankings, fitted: ModelFit) -> np.ndarra
     Rows sum to the total data score, which is zero at an unpenalized
     maximum likelihood fit.
     """
-    events = EventSet(grouped.rankings, fitted.max_tie_order, npseudo=fitted.npseudo,
-                      group_index=grouped.group_index, allow_high_tie_orders=True)
+    events = EventSet(grouped.rankings, fitted.max_tie_order, fitted.npseudo, grouped.group_index)
     return _node_scores(events, fitted, slice(None))
 
 
@@ -364,8 +363,8 @@ def instability_test(scores: np.ndarray, covariate: Covariate) -> tuple[float, f
     return stat, float(chi2.sf(stat, df))
 
 
-# Candidate children are solved in blocks of columns; each working array
-# of a block holds about this many subset-by-column values (128 KB).
+# Candidate children are solved in blocks of columns; the working arrays
+# of a block hold about this many values (128 KB) of the engine's cells.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -395,9 +394,7 @@ def best_split(grouped: GroupedRankings, covariate: Covariate,
         max_tie_order = table.max_tie_order()
     if len(covariate.values) != grouped.n_groups:
         raise DataError("covariate length must match the number of groups")
-    events = EventSet(table, max_tie_order, npseudo=fit_config.npseudo,
-                      group_index=grouped.group_index,
-                      allow_high_tie_orders=fit_config.allow_high_tie_orders)
+    events = EventSet(table, max_tie_order, fit_config.npseudo, grouped.group_index)
     found, inadmissible, unconverged = _split_node(
         events, slice(None), covariate, config, _iterative_scaling(events, fit_config)[0])
     if tally is not None:
@@ -417,7 +414,7 @@ def _split_node(events: EventSet, rows, covariate: Covariate, config: TreeConfig
                       format="csr")
     splits, child_sums = _candidates(covariate, config.minsize, stats)
     n_cand, n_events = len(splits), events.n_events
-    per_block = max(1, _BLOCK_CELLS // (2 * max(events.n_subsets, 1)))
+    per_block = max(1, _BLOCK_CELLS // (2 * max(events.n_cells, 1)))
     objective = np.empty(n_cand)
     admissible = np.empty(n_cand, dtype=bool)
     unconverged = 0

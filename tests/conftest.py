@@ -218,11 +218,10 @@ def compile_oracle(table, max_tie_order, group_index=None):
 
 def event_alternatives(ev):
     """The alternative set of every event of an :class:`EventSet`: the
-    items of its single-item subsets (the rows of ``B`` with one entry)."""
-    single = np.flatnonzero(np.diff(ev.B.indptr) == 1)
+    items of its slots."""
     alts = [[] for _ in range(ev.n_events)]
-    for sub, item in zip(single, ev.B.indices[ev.B.indptr[single]]):
-        alts[ev.sub_event[sub]].append(int(item))
+    for event, item in zip(ev.slot_event, ev.slot_item):
+        alts[event].append(int(item))
     return [tuple(sorted(a)) for a in alts]
 
 
@@ -266,6 +265,29 @@ def brute_force_stats(table, params):
     return obs, exp
 
 
+def brute_force_information(table, params):
+    """Observed information: per stage, the weighted covariance of the
+    credit vector over every admissible subset at its model probability."""
+    j, d = params.n_items, params.max_tie_order
+    info = np.zeros((j + d - 1, j + d - 1))
+    for r in range(table.n_rows):
+        if table.na_mask[r]:
+            continue
+        for _, alts in row_stages(table.ranks[r]):
+            den = brute_force_denominator(alts, params)
+            second, mean = np.zeros_like(info), np.zeros(j + d - 1)
+            for s in admissible_subsets(alts, d):
+                b = np.zeros(j + d - 1)
+                b[list(s)] = 1.0 / len(s)
+                if len(s) >= 2:
+                    b[j + len(s) - 2] = 1.0
+                p = brute_force_strength(s, params) / den
+                second += p * np.outer(b, b)
+                mean += p * b
+            info += table.weights[r] * (second - np.outer(mean, mean))
+    return info
+
+
 def enumerate_tied_rankings(n_items, max_tie_order):
     """Every complete tied ranking of ``n_items`` items (ordered set
     partitions with blocks of at most ``max_tie_order`` items), as dense
@@ -297,5 +319,4 @@ def engine_row_logliks(table, params):
     ev = rw.EventSet(table, params.max_tie_order,
                      group_index=np.arange(1, table.n_rows + 1))
     theta = params.theta()
-    _, logden = ev._log_denominators(theta)
-    return ev.group_obs @ theta - ev.group_event_weights @ logden
+    return ev.group_obs @ theta - ev.group_event_weights @ ev._log_denominators(theta)

@@ -56,6 +56,21 @@ class TestFitCommand:
         assert result.exit_code == 3
         assert "Network is not fully connected" in result.output
 
+    def test_non_finite_npseudo_exits_2(self, runner, data_dir):
+        result = runner.invoke(main, ["fit", str(data_dir / "disconnected.csv"),
+                                      "--npseudo", "nan"])
+        assert result.exit_code == 2
+        assert "npseudo must be finite" in result.output
+
+    @pytest.mark.parametrize("command", ["fit", "summary"])
+    def test_five_way_tie_fits(self, runner, tmp_path, command):
+        data = tmp_path / "tie5.csv"
+        data.write_text("a,b,c,d,e,f\n1,1,1,1,1,2\n1,2,3,4,5,6\n6,5,4,3,2,1\n"
+                        "2,1,3,1,1,1\n")
+        result = runner.invoke(main, [command, str(data)])
+        assert result.exit_code == 0, result.output
+        assert "tie5" in result.output
+
     def test_missing_file_exits_2(self, runner):
         result = runner.invoke(main, ["fit", "/nonexistent/file.csv"])
         assert result.exit_code == 2

@@ -376,6 +376,21 @@ class TestInvariants:
         with pytest.raises(DataError):
             rw.FitConfig(tol=0.0)
 
+    @pytest.mark.parametrize("field, value", [("npseudo", np.nan), ("npseudo", np.inf),
+                                              ("tol", np.nan), ("tol", np.inf)])
+    def test_non_finite_config_rejected(self, disconnected, field, value):
+        # nan used to skip the connectivity gate and tol = inf to report
+        # convergence after no iteration; both fail at the boundary now
+        with pytest.raises(DataError, match=f"{field} must be finite"):
+            rw.fit(disconnected, **{field: value})
+        with pytest.raises(DataError, match=f"{field} must be finite"):
+            rw.FitConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_npseudo_rejected_by_the_engine(self, abcd, value):
+        with pytest.raises(DataError, match="npseudo must be finite"):
+            rw.EventSet(abcd, 1, npseudo=value)
+
     def test_zero_expected_with_positive_observed_raises(self):
         # structurally impossible stats are reported, not silently broken
         theta = np.log([0.5, 0.5])

@@ -14,7 +14,9 @@ import rankworth as rw
 from rankworth.errors import DataError
 from rankworth.likelihood import EventSet
 from tests.conftest import (
+    admissible_subsets,
     brute_force_denominator,
+    brute_force_information,
     brute_force_loglik,
     brute_force_row_probability,
     brute_force_stats,
@@ -157,6 +159,11 @@ class TestLogLikelihood:
             t = rw.from_rank_matrix([[1, 0, 0]], list("abc"))
         p = rw.Parameters(np.zeros(3), np.zeros(0))
         assert engine_loglik(t, p) == 0.0
+        for d in (1, 3):
+            ev = EventSet(t, d)
+            theta = np.zeros(ev.n_params)
+            assert not ev.expected(theta, ev.w_data).any()
+            assert not ev.information(theta, ev.w_data).any()
 
     def test_weight_linearity(self):
         t1 = rw.from_rank_matrix([[1, 2], [1, 2]], ["a", "b"])
@@ -315,11 +322,23 @@ class TestEventSet:
             col = (ev.expected(up, ev.w_data) - ev.expected(down, ev.w_data)) / (2 * step)
             assert np.allclose(info[:, k], col, rtol=1e-4, atol=1e-5)
 
-    def test_high_tie_guard(self):
-        t = rw.from_rank_matrix([[1] * 5 + [2]], [f"i{k}" for k in range(6)])
-        with pytest.raises(DataError, match="explicitly"):
-            EventSet(t, 5)
-        EventSet(t, 5, allow_high_tie_orders=True)
+    def test_order_five_and_six_ties_fit_and_match_brute_force(self):
+        # ties of any order fit, with no option: a 5-way and a 6-way tie
+        rng = np.random.default_rng(12)
+        rows = [rng.permutation(6) + 1 for _ in range(12)]
+        rows += [[1, 1, 1, 1, 1, 2], [2, 1, 1, 1, 1, 1], [1] * 6]
+        t = rw.from_rank_matrix(rows, [f"i{k}" for k in range(6)])
+        assert t.max_tie_order() == 6
+        fits = [rw.fit(t, npseudo=0, method=m, tol=1e-10)
+                for m in ("iterative_scaling", "quasi_newton")]
+        free = np.r_[:6, 6 + 3:6 + 5]              # orders 2-4 are unobserved, held
+        for f in fits:
+            assert f.converged
+            assert f.log_likelihood == pytest.approx(brute_force_loglik(t, f.params), rel=1e-12)
+            # the brute-force score vanishes at the fit, on every free parameter
+            obs, exp = brute_force_stats(t, f.params)
+            assert np.allclose(obs[free], exp[free], rtol=0, atol=1e-8 * t.n_rows)
+        assert np.allclose(fits[0].params.theta(), fits[1].params.theta(), rtol=0, atol=1e-7)
 
     def test_extreme_worths_stay_finite(self):
         t = rw.from_rank_matrix([[1, 2, 3]], list("abc"))
@@ -327,6 +346,16 @@ class TestEventSet:
         ev = EventSet(t, 1)
         ll = ev.loglik(p.theta(), ev.w_data, ev.obs_data)
         assert np.isfinite(ll)
+        # with ties, where plain arithmetic underflows: the normalizer of
+        # {a, b, c} is e^500 to rounding, so tying a and b costs 250 and
+        # tying b and c first costs 750, and the strict row costs nothing
+        t = rw.from_rank_matrix([[1, 2, 3], [1, 1, 2], [2, 1, 1]], list("abc"))
+        p = rw.Parameters(np.array([500.0, 0.0, -500.0]), np.zeros(1))
+        ev = EventSet(t, 2)
+        ll = ev.loglik(p.theta(), ev.w_data, ev.obs_data)
+        assert ll == pytest.approx(-1000.0, rel=1e-12)
+        assert np.all(np.isfinite(ev.expected(p.theta(), ev.w_data)))
+        assert np.all(np.isfinite(ev.information(p.theta(), ev.w_data)))
 
 
 class TestChoiceEvents:
@@ -453,10 +482,9 @@ class TestPseudoComparisons:
                                                              old.n_events)
         assert np.array_equal(new.w_total, old.w_data)
         assert np.array_equal(new.obs_total, old.obs_data)
-        assert np.array_equal(new.sub_event, old.sub_event)
-        assert np.array_equal(new.ev_ptr, old.ev_ptr)
+        assert np.array_equal(new.slot_event, old.slot_event)
+        assert np.array_equal(new.slot_item, old.slot_item)
         assert np.array_equal(new.noutcomes, old.noutcomes)
-        assert np.array_equal(new.B.toarray(), old.B.toarray())
         # data events first, then one {i, ghost} pair per item in item order
         e = new.n_events - j
         assert np.array_equal(new.w_data[e:], np.zeros(j))
@@ -485,3 +513,60 @@ class TestPseudoComparisons:
     def test_negative_npseudo_rejected(self, abcd):
         with pytest.raises(DataError, match="non-negative"):
             EventSet(abcd, 1, npseudo=-0.5)
+
+
+def random_tied_table(rng, n_items, max_tie_order):
+    """A few partial rows of ``n_items`` items with ties of order up to
+    ``max_tie_order`` and positive weights."""
+    ranks = np.zeros((int(rng.integers(1, 6)), n_items), dtype=np.int64)
+    for row in ranks:
+        items = rng.permutation(n_items)[:int(rng.integers(2, n_items + 1))]
+        pos, level = 0, 1
+        while pos < items.size:
+            k = int(rng.integers(1, max_tie_order + 1))
+            row[items[pos:pos + k]] = level
+            pos, level = pos + k, level + 1
+    return rw.RankingsTable(tuple(f"i{k}" for k in range(n_items)), ranks,
+                            rng.uniform(0.5, 2.0, ranks.shape[0]),
+                            np.zeros(ranks.shape[0], dtype=bool))
+
+
+class TestEngineOracle:
+    """Loglik, expected statistics and information of the ESP engine
+    against the brute-force subset enumerator, ties of order up to 6."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), npseudo=st.sampled_from([0.0, 0.5]))
+    def test_matches_brute_force(self, seed, npseudo):
+        rng = np.random.default_rng(seed)
+        j = int(rng.integers(2, 8))
+        d = int(rng.integers(1, min(j, 6) + 1))
+        t = random_tied_table(rng, j, d)
+        ev = EventSet(t, d, npseudo=npseudo)
+        # outcomes are counted, never listed
+        assert ev.noutcomes.tolist() == [len(list(admissible_subsets(a, d)))
+                                         for a in event_alternatives(ev)]
+        assert ev.n_subsets == ev.noutcomes.sum()
+        p = random_params(rng, ev.n_items, d)
+        theta = p.theta()
+        # the pseudo-comparisons are rows of the table augmented with the ghost
+        aug = rw.augment_with_pseudo_rankings(t, npseudo)
+        ll = ev.loglik(theta, ev.w_total, ev.obs_total)
+        assert ll == pytest.approx(brute_force_loglik(aug, p), rel=1e-12)
+        obs, exp = brute_force_stats(aug, p)
+        assert np.array_equal(ev.obs_total == 0, obs == 0)
+        got = ev.expected(theta, ev.w_total)
+        assert np.max(np.abs(got - exp)) <= 1e-12 * np.max(np.abs(exp))
+        info = brute_force_information(aug, p)
+        got = ev.information(theta, ev.w_total)
+        assert np.max(np.abs(got - info)) <= 1e-12 * np.max(np.abs(info))
+
+        # C columns give exactly the numbers of C 1-D calls
+        thetas = theta[:, None] + rng.normal(0, 0.5, (theta.size, 3))
+        weights = ev.w_total[:, None] * rng.uniform(0, 2, (ev.n_events, 3))
+        obs = np.repeat(ev.obs_total[:, None], 3, axis=1)
+        lls, exps = ev.loglik(thetas, weights, obs), ev.expected(thetas, weights)
+        for c in range(3):
+            col = thetas[:, c].copy(), weights[:, c].copy()
+            assert lls[c] == ev.loglik(*col, obs[:, c].copy())
+            assert np.array_equal(exps[:, c], ev.expected(*col))

@@ -426,6 +426,18 @@ class TestOneCompilePerTree:
         assert tree.n_leaves() >= 2
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("design", ["planted", "tied"])
+    def test_split_does_not_depend_on_the_block_size(self, design, request, monkeypatch):
+        # candidates are solved a block of columns at a time, blocks sized by
+        # the engine's cells; a column gives exactly the numbers of a 1-D solve
+        grouped, covs = request.getfixturevalue(design)[:2]
+        config = rw.TreeConfig(minsize=10)
+        want = quiet(rw.best_split, grouped, covs["x"], config)
+        assert want is not None
+        for cells in (1, 1 << 30):
+            monkeypatch.setattr("rankworth.tree._BLOCK_CELLS", cells)
+            assert quiet(rw.best_split, grouped, covs["x"], config) == want
+
     def test_leaf_summaries_have_item_errors(self, tied):
         grouped, covs = tied
         tree = quiet(rw.grow_tree, grouped, covs, minsize=10, maxdepth=2)
