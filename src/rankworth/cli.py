@@ -55,7 +55,8 @@ def _handle_errors(func):
 def _soc_table(source) -> RankingsTable:
     """A strict-orders file (path or text stream), items sorted by name."""
     orderings, freqs = io.read_preflib_soc(source)
-    items = sorted({name for row in orderings.rows for slot in row for name in slot})
+    used = (orderings.codes > 0).any(axis=0)
+    items = sorted(name for name, u in zip(orderings.names, used) if u)
     return from_orderings(orderings, items, weights=freqs)
 
 

@@ -68,6 +68,11 @@ class FitConfig:
         tie_start: starting value for every tie prevalence parameter.
 
     Ties of any order fit: the model's tie order is the table's largest tie.
+
+    Raises:
+        DataError: ``npseudo`` negative, ``tol`` or ``tie_start`` not
+            positive, ``steffensen_threshold`` negative, any of these not
+            finite, ``maxit`` below 1, or an unknown ``method``.
     """
 
     npseudo: float = 0.5
@@ -78,14 +83,15 @@ class FitConfig:
     tie_start: float = 0.1
 
     def __post_init__(self):
-        if not (np.isfinite(self.npseudo) and self.npseudo >= 0):
-            raise DataError(f"npseudo must be finite and non-negative, not {self.npseudo}")
+        for name in ("npseudo", "tol", "steffensen_threshold", "tie_start"):
+            value, positive = getattr(self, name), name in ("tol", "tie_start")
+            if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+                raise DataError(f"{name} must be finite and "
+                                f"{'positive' if positive else 'non-negative'}, not {value}")
         if self.method not in _METHODS:
             raise DataError(f"method must be one of {_METHODS}")
         if self.maxit < 1:
             raise DataError("maxit must be at least 1")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise DataError(f"tol must be finite and positive, not {self.tol}")
 
 
 @dataclass

@@ -12,16 +12,18 @@ frequencies, since published files are known to contain such slips.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DataError
 from .fit import FitConfig, ModelFit
 from .likelihood import Parameters
-from .rankings import OrderingsTable, RankingsTable, from_rank_matrix
+from .rankings import OrderingsTable, RankingsTable, _validate_items, from_rank_matrix
 
 __all__ = [
     "SocFile",
@@ -37,14 +39,26 @@ MODEL_JSON_VERSION = 1
 
 @dataclass
 class SocFile:
-    """Parsed strict-orders file."""
+    """Parsed strict-orders file: ``orderings`` is an (R, n) matrix of item
+    positions (indices into ``item_names``), best first."""
 
     item_names: list[str]
     frequencies: np.ndarray
-    orderings: list[list[str]]
+    orderings: np.ndarray
     voters: int
     vote_sum: int
     unique_orders: int
+
+
+def _read_text(source) -> str:
+    """The text of a path or a text stream."""
+    try:
+        if hasattr(source, "read"):
+            return source.read()
+        with open(source, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"file is not valid UTF-8: {exc}") from exc
 
 
 def _split_id_name(line: str) -> tuple[str, str]:
@@ -56,8 +70,32 @@ def _split_id_name(line: str) -> tuple[str, str]:
     return head.strip(), rest
 
 
+def _soc_line_error(body: list[str], ids: list[str]) -> DataError:
+    """The error of the first malformed ordering line of ``body``."""
+    for ln in body:
+        parts = [p.strip() for p in ln.split(",")]
+        try:
+            freq = int(np.int64(int(parts[0])))
+        except (ValueError, OverflowError):
+            return DataError(f"malformed frequency in line: {ln!r}")
+        if freq <= 0:
+            return DataError(f"non-positive frequency in line: {ln!r}")
+        if sorted(parts[1:]) != sorted(ids):
+            return DataError(f"ordering is not a permutation of all item ids: {ln!r}")
+    return DataError("malformed strict-orders file")
+
+
 def parse_soc(text: str) -> SocFile:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """Parse strict-orders text; ids are stripped strings ("01" is not "1").
+    A totals line that disagrees with the orderings only warns.
+
+    Raises:
+        DataError: an empty text, a malformed item count or totals line,
+            too few lines, a repeated item id or name, or (the first such
+            line named) a frequency that is not a positive 64-bit integer
+            or ids that are not a permutation of the item ids.
+    """
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise DataError("empty strict-orders file")
     try:
@@ -88,64 +126,74 @@ def parse_soc(text: str) -> SocFile:
     except ValueError as exc:
         raise DataError(f"malformed totals line: {lines[n_items + 1]!r}") from exc
 
-    freqs: list[float] = []
-    orderings: list[list[str]] = []
-    for ln in lines[n_items + 2:]:
-        parts = [p.strip() for p in ln.split(",")]
-        try:
-            freq = int(parts[0])
-        except ValueError as exc:
-            raise DataError(f"malformed frequency in line: {ln!r}") from exc
-        if freq <= 0:
-            raise DataError(f"non-positive frequency in line: {ln!r}")
-        order_ids = parts[1:]
-        if sorted(order_ids) != sorted(id_to_name):
-            raise DataError(f"ordering is not a permutation of all item ids: {ln!r}")
-        freqs.append(freq)
-        orderings.append([id_to_name[i] for i in order_ids])
+    # one flat token list, n_items + 1 tokens a line: the frequency, then the ids
+    body, ids = lines[n_items + 2:], list(id_to_name)
+    tokens = list(map(str.strip, ",".join(body).split(","))) if body else []
+    try:
+        if (np.fromiter(map(str.count, body, repeat(",")), int, len(body)) != n_items).any():
+            raise ValueError
+        freqs = np.fromiter(map(int, tokens[::n_items + 1]), np.int64, len(body))
+        del tokens[::n_items + 1]
+        index = dict(zip(ids, range(n_items)))
+        orderings = np.fromiter(map(index.get, tokens, repeat(-1)), np.int64,
+                                len(tokens)).reshape(len(body), n_items)
+        if (freqs <= 0).any() or (np.sort(orderings, axis=1) != np.arange(n_items)).any():
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise _soc_line_error(body, ids) from None
 
     if len(orderings) != unique_orders:
         warnings.warn(
             f"totals line declares {unique_orders} unique orders, parsed "
             f"{len(orderings)}")
-    if int(sum(freqs)) != vote_sum:
+    total = sum(freqs.tolist())
+    if total != vote_sum:
         warnings.warn(
             f"totals line declares vote sum {vote_sum}, parsed frequencies "
-            f"sum to {int(sum(freqs))}")
-    return SocFile(names, np.array(freqs, dtype=float), orderings,
+            f"sum to {total}")
+    return SocFile(names, freqs.astype(float), orderings,
                    voters, vote_sum, unique_orders)
 
 
 def read_preflib_soc(source) -> tuple[OrderingsTable, np.ndarray]:
-    """Read a strict-orders file from a path or file object.
+    """Read a strict-orders file from a path or text stream: the orderings
+    (one item name per slot) and their frequencies, to use as weights.
 
-    Returns the orderings (item names substituted for ids) and the
-    frequency of each, ready to be used as ranking weights.
+    Raises:
+        DataError: a file that is not UTF-8, or as :func:`parse_soc`.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, encoding="utf-8") as fh:
-            text = fh.read()
-    soc = parse_soc(text)
-    rows = [[(name,) for name in order] for order in soc.orderings]
-    return OrderingsTable(tuple(tuple(r) for r in rows)), soc.frequencies
+    soc = parse_soc(_read_text(source))
+    rows, n = soc.orderings.shape
+    # each item's slot, counted from 1: the inverse of each row's permutation
+    codes = np.argsort(soc.orderings, axis=1) + 1
+    return OrderingsTable(tuple(soc.item_names), codes, np.full(rows, n)), soc.frequencies
 
 
-def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError("empty CSV file") from None
-        rows = [r for r in reader if r]
-    if not rows:
+def _read_csv(path) -> tuple[list[str], str]:
+    """The stripped header cells of a CSV file and the text of its body."""
+    text = io.StringIO(_read_text(path))
+    try:
+        header = [h.strip() for h in next(csv.reader(text))]
+    except StopIteration:
+        raise DataError("empty CSV file") from None
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV: {exc}") from exc
+    body = text.read()
+    if not body.strip("\n"):
         raise DataError("CSV file has no data rows")
+    return header, body
+
+
+def _csv_rows(body: str, n_cols: int) -> list[list[str]]:
+    """The rows of a CSV body, blank lines skipped, each of ``n_cols`` cells."""
+    try:
+        rows = [r for r in csv.reader(io.StringIO(body)) if r]
+    except csv.Error as exc:
+        raise DataError(f"malformed CSV: {exc}") from exc
     for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"row {i + 1} has {len(row)} cells, expected {len(header)}")
-    return header, rows
+        if len(row) != n_cols:
+            raise DataError(f"row {i + 1} has {len(row)} cells, expected {n_cols}")
+    return rows
 
 
 def _parse_rank_csv(path, weights_col: str | None = None):
@@ -154,9 +202,11 @@ def _parse_rank_csv(path, weights_col: str | None = None):
     Every column is an item except the weight column (``weights_col``, or
     a column named "weight" when none is named) and a column named
     "group", which holds integer group ids.  A column named "weight" next
-    to a differently named ``weights_col`` is refused as ambiguous.
+    to a differently named ``weights_col`` is refused as ambiguous.  The
+    body is parsed as one array; only a body that fails is read again row
+    by row, to name the first bad row.
     """
-    header, rows = _read_csv_rows(path)
+    header, body = _read_csv(path)
     if weights_col is None:
         weights_col = "weight" if "weight" in header else None
     elif weights_col not in header:
@@ -168,22 +218,25 @@ def _parse_rank_csv(path, weights_col: str | None = None):
                for name, kind in ((weights_col, "weight"), ("group", "group"))
                if name in header}
     item_cols = [k for k in range(len(header)) if k not in special]
-    matrix = []
-    cells = {kind: [] for kind in special.values()}
-    for i, row in enumerate(rows):
-        try:
-            matrix.append([int(row[k]) for k in item_cols])
-        except ValueError as exc:
-            raise DataError(f"non-integer rank code in row {i + 1}") from exc
-        for k, kind in special.items():
-            try:
-                cells[kind].append(float(row[k]) if kind == "weight" else int(row[k]))
-            except ValueError as exc:
-                raise DataError(f"non-numeric {kind} in row {i + 1}") from exc
-    table = from_rank_matrix(np.array(matrix), [header[k] for k in item_cols],
-                             weights=cells.get("weight"))
-    groups = cells.get("group")
-    return table, (np.array(groups, dtype=np.int64) if groups is not None else None)
+    # one field per column, named by its index: floats for the weight, integers otherwise
+    dtype = np.dtype([(str(k), np.float64 if special.get(k) == "weight" else np.int64)
+                      for k in range(len(header))])
+    try:
+        cells = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
+                           comments=None, ndmin=1)
+    except ValueError as exc:
+        for i, row in enumerate(_csv_rows(body, len(header))):
+            for k in item_cols + list(special):
+                try:
+                    float(row[k]) if special.get(k) == "weight" else int(row[k])
+                except ValueError:
+                    raise DataError(f"non-numeric {special[k]} in row {i + 1}" if k in special
+                                    else f"non-integer rank code in row {i + 1}") from exc
+        raise DataError(f"malformed rankings CSV: {exc}") from exc
+    items = _validate_items(header[k] for k in item_cols)
+    ranks = np.stack([cells[str(k)] for k in item_cols], axis=1)
+    columns = {kind: cells[str(k)] for k, kind in special.items()}
+    return from_rank_matrix(ranks, items, weights=columns.get("weight")), columns.get("group")
 
 
 def read_rank_csv(path, weights_col: str | None = None) -> RankingsTable:
@@ -193,8 +246,11 @@ def read_rank_csv(path, weights_col: str | None = None) -> RankingsTable:
     holds group ids; neither is an item.
 
     Raises:
-        DataError: malformed cells, or a column named "weight" beside a
-            differently named ``weights_col``.
+        DataError: a file that is not UTF-8 or lacks a header or data rows;
+            ``weights_col`` missing, or beside a column named "weight"; a
+            row with the wrong cell count or a cell that is not an integer
+            (a number for the weight), named by its row; or as
+            :func:`~rankworth.rankings.from_rank_matrix`.
     """
     return _parse_rank_csv(path, weights_col)[0]
 
@@ -207,7 +263,8 @@ def read_covariates_csv(path):
     column with a ``nan`` or ``inf`` cell raises DataError."""
     from .tree import CovariateFrame
 
-    header, rows = _read_csv_rows(path)
+    header, body = _read_csv(path)
+    rows = _csv_rows(body, len(header))
     if "group" in header:
         gcol = header.index("group")
         try:
@@ -232,17 +289,14 @@ def write_rank_csv(table: RankingsTable, path, include_weights: bool = True) -> 
     NA rows are written with their stored codes; reading them back flags
     them NA again.
     """
+    header, cells = list(table.items), table.ranks.astype(str)
+    if include_weights:
+        header.append("weight")
+        cells = np.column_stack([cells, [format(w, ".17g") for w in table.weights]])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if include_weights:
-            writer.writerow([*table.items, "weight"])
-            for i in range(table.n_rows):
-                writer.writerow([*map(int, table.ranks[i]),
-                                 format(table.weights[i], ".17g")])
-        else:
-            writer.writerow(list(table.items))
-            for i in range(table.n_rows):
-                writer.writerow(list(map(int, table.ranks[i])))
+        writer.writerow(header)
+        writer.writerows(cells.tolist())
 
 
 def _fit_to_dict(fit: ModelFit) -> dict:

@@ -143,13 +143,17 @@ class EventSet:
             s = too_big[0]
             raise DataError(f"row {st.row[s]} has a tie of order {size[s]}, "
                             f"above the limit {self.max_tie_order}")
-        # deduplicate alternative sets, numbering them by first occurrence
+        # deduplicate alternative sets, numbering them by first occurrence:
+        # a stable sort of the packed sets puts each set's first stage first
         keys = np.packbits(st.alts, axis=1)
-        keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.lexsort(keys.T[::-1])
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+        first = order[starts]
         by_first = np.argsort(first)
-        event = np.argsort(by_first)[inverse]
-        n_data_events = by_first.size
+        event = np.empty_like(order)
+        event[order] = np.argsort(by_first)[np.cumsum(starts) - 1]
+        n_data_events = first.size
         members = np.zeros((n_data_events + (npseudo > 0) * n_real, n_items), dtype=bool)
         members[:n_data_events, :n_real] = st.alts[first[by_first]]
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -219,12 +220,37 @@ def from_rank_matrix(matrix, item_names, weights=None) -> RankingsTable:
     return RankingsTable(items, dense, w, na)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderingsTable:
     """Rows of ordered slots, best first; a slot may hold several items
-    (a tie) or be empty.  No item may appear twice within a row."""
+    (a tie) or be empty.  No item appears twice within a row.
 
-    rows: tuple[tuple[tuple[str, ...], ...], ...]
+    ``names`` is the vocabulary, in the order the rows first name each;
+    ``codes`` is an (R, V) matrix holding 0 where a row lacks a name, else
+    ``slot * width + place + 1`` (both counted from 0, ``place`` within the
+    slot); ``n_slots`` counts each row's slots, empty ones included; and
+    ``width`` is the largest slot.
+
+    Raises:
+        DataError: repeated names, or codes that are not an (R, V) matrix
+            with each code in ``0..width * n_slots`` of its row.
+    """
+
+    names: tuple[str, ...]
+    codes: np.ndarray
+    n_slots: np.ndarray
+    width: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "names", tuple(self.names))
+        for name in ("codes", "n_slots"):
+            object.__setattr__(self, name, _as_readonly(np.asarray(getattr(self, name), np.int64)))
+        c, n = self.codes, self.n_slots
+        if (c.ndim != 2 or not c.shape[1] == len(set(self.names)) == len(self.names)
+                or n.shape != c.shape[:1] or self.width < 1 or (c < 0).any()
+                or (c > self.width * n[:, None]).any()):
+            raise DataError("an orderings table needs unique names and, per row, a "
+                            "slot count and codes in 0..width * slots")
 
     @staticmethod
     def _norm_slot(slot) -> tuple[str, ...]:
@@ -247,46 +273,73 @@ class OrderingsTable:
 
     @classmethod
     def from_rows(cls, rows) -> "OrderingsTable":
-        norm = []
-        for r in rows:
-            slots = tuple(cls._norm_slot(s) for s in r)
+        """The table of Python rows of slots (each a name, an iterable of
+        names, or empty); raises DataError if a row names an item twice."""
+        vocab: dict[str, int] = {}
+        entries, n_slots, width = [], [], 1
+        for i, r in enumerate(rows):
+            slots = [cls._norm_slot(s) for s in r]
             seen: set[str] = set()
-            for s in slots:
-                for name in s:
+            for k, slot in enumerate(slots):
+                width = max(width, len(slot))
+                for place, name in enumerate(slot):
                     if name in seen:
                         raise DataError(f"item {name!r} appears twice in an ordering")
                     seen.add(name)
-            norm.append(slots)
-        return cls(tuple(norm))
+                    entries.append((i, vocab.setdefault(name, len(vocab)), k, place))
+            n_slots.append(len(slots))
+        codes = np.zeros((len(n_slots), len(vocab)), dtype=np.int64)
+        if entries:
+            i, v, k, place = np.array(entries).T
+            codes[i, v] = k * width + place + 1
+        return cls(tuple(vocab), codes, n_slots, width)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.codes.shape[0]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
+        """The rows as tuples of slots, each a tuple of names."""
+        out = [[[] for _ in range(k)] for k in self.n_slots.tolist()]
+        r, v = np.nonzero(self.codes)
+        order = np.lexsort((self.codes[r, v], r))
+        for i, j, code in zip(r[order].tolist(), v[order].tolist(),
+                              self.codes[r, v][order].tolist()):
+            out[i][(code - 1) // self.width].append(self.names[j])
+        return tuple(tuple(map(tuple, row)) for row in out)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, OrderingsTable) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
 
 
 def from_orderings(orderings, item_names, weights=None) -> RankingsTable:
     """Convert orderings (slot k = rank k) to a dense rankings table.
 
-    Multi-item slots become ties; items absent from a row get rank 0.
+    Multi-item slots become ties, empty slots leave no gap, and items
+    absent from a row get rank 0.
 
     Raises:
-        DataError: unknown item name or duplicate item within a row.
+        DataError: a name twice in one row (of rows not yet a table), the
+            first name not in ``item_names``, or as :func:`from_rank_matrix`.
     """
     if not isinstance(orderings, OrderingsTable):
         orderings = OrderingsTable.from_rows(orderings)
     items = _validate_items(item_names)
-    index = {name: j for j, name in enumerate(items)}
+    index = dict(zip(items, range(len(items))))
+    col = np.array([index.get(name, -1) for name in orderings.names], dtype=np.int64)
+    codes = orderings.codes
+    unknown = np.flatnonzero((col < 0) & (codes > 0).any(axis=0))
+    if unknown.size:
+        first = (codes[:, unknown] > 0).argmax(axis=0)
+        name = orderings.names[unknown[np.lexsort((codes[first, unknown], first))[0]]]
+        raise DataError(f"unknown item name {name!r}")
     m = np.zeros((orderings.n_rows, len(items)), dtype=np.int64)
-    for i, row in enumerate(orderings.rows):
-        rank = 0
-        for slot in row:
-            if not slot:
-                continue
-            rank += 1
-            for name in slot:
-                if name not in index:
-                    raise DataError(f"unknown item name {name!r}")
-                m[i, index[name]] = rank
+    # a name's slot counted from 1, 0 where absent; from_rank_matrix closes the gaps
+    m[:, col[col >= 0]] = -(-codes[:, col >= 0] // orderings.width)
     return from_rank_matrix(m, items, weights=weights)
 
 
@@ -378,7 +431,8 @@ def decode_orderings(coded, item_columns, codes) -> OrderingsTable:
     ``item_columns`` gives, for each row, the item name behind each code.
 
     Raises:
-        DataError: a cell not in ``codes`` or misaligned rows.
+        DataError: a cell not in ``codes``, misaligned rows, or a name that
+            appears twice in one row.
     """
     codes = [str(c) for c in codes]
     pos = {c: k for k, c in enumerate(codes)}
@@ -396,8 +450,8 @@ def decode_orderings(coded, item_columns, codes) -> OrderingsTable:
             if c not in pos:
                 raise DataError(f"cell value {c!r} is not one of the codes {codes}")
             slots.append((str(ir[pos[c]]),))
-        out.append(tuple(slots))
-    return OrderingsTable(tuple(out))
+        out.append(slots)
+    return OrderingsTable.from_rows(out)
 
 
 def complete_orderings(partial, codes) -> list[str]:

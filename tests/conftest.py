@@ -320,3 +320,151 @@ def engine_row_logliks(table, params):
                      group_index=np.arange(1, table.n_rows + 1))
     theta = params.theta()
     return ev.group_obs @ theta - ev.group_event_weights @ ev._log_denominators(theta)
+
+
+# ---------------------------------------------------------------------------
+# reader oracles: the row-by-row readers that the array readers replaced
+
+
+def soc_oracle(text):
+    """Strict-orders text parsed line by line: (item names, frequencies,
+    orderings as lists of names); warns like :func:`rankworth.io.parse_soc`."""
+    from rankworth.errors import DataError
+    from rankworth.io import _split_id_name
+
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise DataError("empty strict-orders file")
+    try:
+        n_items = int(lines[0])
+    except ValueError as exc:
+        raise DataError(f"malformed item count line: {lines[0]!r}") from exc
+    if n_items < 1 or len(lines) < n_items + 2:
+        raise DataError("strict-orders file truncated before totals line")
+    id_to_name, names = {}, []
+    for ln in lines[1:n_items + 1]:
+        item_id, name = _split_id_name(ln)
+        if not name:
+            name = item_id
+        if item_id in id_to_name:
+            raise DataError(f"duplicate item id {item_id!r}")
+        id_to_name[item_id] = name
+        names.append(name)
+    if len(set(names)) != len(names):
+        raise DataError("duplicate item names")
+    totals = lines[n_items + 1].split(",")
+    if len(totals) != 3:
+        raise DataError(f"malformed totals line: {lines[n_items + 1]!r}")
+    try:
+        voters, vote_sum, unique_orders = (int(x) for x in totals)
+    except ValueError as exc:
+        raise DataError(f"malformed totals line: {lines[n_items + 1]!r}") from exc
+    freqs, orderings = [], []
+    for ln in lines[n_items + 2:]:
+        parts = [p.strip() for p in ln.split(",")]
+        try:
+            freq = int(parts[0])
+        except ValueError as exc:
+            raise DataError(f"malformed frequency in line: {ln!r}") from exc
+        if freq <= 0:
+            raise DataError(f"non-positive frequency in line: {ln!r}")
+        order_ids = parts[1:]
+        if sorted(order_ids) != sorted(id_to_name):
+            raise DataError(f"ordering is not a permutation of all item ids: {ln!r}")
+        freqs.append(freq)
+        orderings.append([id_to_name[i] for i in order_ids])
+    if len(orderings) != unique_orders:
+        warnings.warn(f"totals line declares {unique_orders} unique orders, parsed "
+                      f"{len(orderings)}")
+    if int(sum(freqs)) != vote_sum:
+        warnings.warn(f"totals line declares vote sum {vote_sum}, parsed frequencies "
+                      f"sum to {int(sum(freqs))}")
+    return names, np.array(freqs, dtype=float), orderings
+
+
+def orderings_rows_oracle(rows):
+    """Rows of slots normalized one slot at a time, as tuples, refusing a
+    name that appears twice in a row."""
+    from rankworth.errors import DataError
+
+    norm = []
+    for r in rows:
+        slots = tuple(rw.OrderingsTable._norm_slot(s) for s in r)
+        seen = set()
+        for s in slots:
+            for name in s:
+                if name in seen:
+                    raise DataError(f"item {name!r} appears twice in an ordering")
+                seen.add(name)
+        norm.append(slots)
+    return tuple(norm)
+
+
+def from_orderings_oracle(rows, item_names, weights=None):
+    """:func:`rankworth.from_orderings` one row and one slot at a time."""
+    from rankworth.errors import DataError
+
+    rows = orderings_rows_oracle(rows)
+    items = tuple(str(x) for x in item_names)
+    if len(items) < 2:
+        raise DataError("at least two items are required")
+    index = {name: j for j, name in enumerate(items)}
+    m = np.zeros((len(rows), len(items)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        rank = 0
+        for slot in row:
+            if not slot:
+                continue
+            rank += 1
+            for name in slot:
+                if name not in index:
+                    raise DataError(f"unknown item name {name!r}")
+                m[i, index[name]] = rank
+    return rw.from_rank_matrix(m, items, weights=weights)
+
+
+def rank_csv_oracle(path, weights_col=None):
+    """A rankings CSV read with ``csv`` and parsed one cell at a time:
+    (table, group ids or None)."""
+    import csv
+
+    from rankworth.errors import DataError
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataError("empty CSV file") from None
+        rows = [r for r in reader if r]
+    if not rows:
+        raise DataError("CSV file has no data rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"row {i + 1} has {len(row)} cells, expected {len(header)}")
+    if weights_col is None:
+        weights_col = "weight" if "weight" in header else None
+    elif weights_col not in header:
+        raise DataError(f"weight column {weights_col!r} not found")
+    elif weights_col != "weight" and "weight" in header:
+        raise DataError(f"weights are read from column {weights_col!r}, so the "
+                        "column named 'weight' is ambiguous; rename or drop it")
+    special = {header.index(name): kind
+               for name, kind in ((weights_col, "weight"), ("group", "group"))
+               if name in header}
+    item_cols = [k for k in range(len(header)) if k not in special]
+    matrix, cells = [], {kind: [] for kind in special.values()}
+    for i, row in enumerate(rows):
+        try:
+            matrix.append([int(row[k]) for k in item_cols])
+        except ValueError as exc:
+            raise DataError(f"non-integer rank code in row {i + 1}") from exc
+        for k, kind in special.items():
+            try:
+                cells[kind].append(float(row[k]) if kind == "weight" else int(row[k]))
+            except ValueError as exc:
+                raise DataError(f"non-numeric {kind} in row {i + 1}") from exc
+    table = rw.from_rank_matrix(np.array(matrix), [header[k] for k in item_cols],
+                                weights=cells.get("weight"))
+    groups = cells.get("group")
+    return table, (np.array(groups, dtype=np.int64) if groups is not None else None)

@@ -386,6 +386,21 @@ class TestInvariants:
         with pytest.raises(DataError, match=f"{field} must be finite"):
             rw.FitConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("tie_start", 0.0), ("tie_start", -1.0), ("tie_start", np.nan), ("tie_start", np.inf),
+        ("steffensen_threshold", -0.1), ("steffensen_threshold", np.nan),
+        ("steffensen_threshold", np.inf)])
+    @pytest.mark.parametrize("method", ["iterative_scaling", "quasi_newton"])
+    def test_bad_start_or_threshold_rejected(self, pudding, field, value, method):
+        # a tie start of 0 used to surface as "an item has no wins or tie
+        # credit" or "singular information matrix", and a nan threshold
+        # silently turned acceleration off
+        with pytest.raises(DataError, match=f"{field} must be finite"):
+            rw.fit(pudding, npseudo=0, method=method, **{field: value})
+
+    def test_zero_threshold_accepted(self, pudding):
+        assert quiet_fit(pudding, npseudo=0, steffensen_threshold=0.0).converged
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_npseudo_rejected_by_the_engine(self, abcd, value):
         with pytest.raises(DataError, match="npseudo must be finite"):

@@ -1,5 +1,6 @@
 """Rankings construction, recoding, display, grouping, and decode helpers."""
 
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import rankworth as rw
 from rankworth.errors import DataError
-from tests.conftest import dense_recode_row_oracle, max_tie_order_oracle
+from tests.conftest import (dense_recode_row_oracle, from_orderings_oracle,
+                            max_tie_order_oracle, orderings_rows_oracle)
 
 
 def random_rank_matrices(seed, n=300):
@@ -112,6 +114,58 @@ class TestFromOrderings:
     def test_duplicate_item_rejected(self):
         with pytest.raises(DataError, match="twice"):
             rw.from_orderings([["A", "A"]], ["A", "B"])
+
+    def test_duplicate_item_rejected_in_a_table_too(self):
+        # decoded rows build their table through the same check
+        with pytest.raises(DataError, match="'x' appears twice"):
+            rw.decode_orderings([["A", "B"]], [["x", "x", "y"]], ["A", "B", "C"])
+        with pytest.raises(DataError, match="'x' appears twice"):
+            rw.from_orderings(rw.OrderingsTable.from_rows([["x", "y", "x"]]), ["x", "y"])
+
+    def test_table_arrays_are_checked(self):
+        for names, codes, n_slots in [(("a", "a"), [[1, 2]], [2]), (("a", "b"), [[1, 2]], [2, 2]),
+                                      (("a", "b"), [[1, 3]], [2]), (("a", "b"), [[-1, 1]], [2])]:
+            with pytest.raises(DataError, match="needs unique names"):
+                rw.OrderingsTable(names, codes, n_slots)
+        t = rw.OrderingsTable(("a", "b"), [[2, 1]], [2])
+        assert t.rows == ((("b",), ("a",)),)
+        # tables compare and hash by their rows, whatever their vocabulary order
+        same = rw.OrderingsTable.from_rows([["b", "a"]])
+        assert same == t and hash(same) == hash(t) and same != rw.OrderingsTable.from_rows([["a"]])
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.lists(st.one_of(
+        st.sampled_from(["a", "b", "c", "d", "", None, float("nan"), 3, np.int64(3),
+                         np.float64("nan"), np.array("b"), ("a", "b"), np.array(["c", "e"])]),
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e", "", None, float("nan"), 3]),
+                 max_size=3)),
+        max_size=5), max_size=6),
+        items=st.sampled_from([list("abcd"), list("abcde"), list("dcbae3")]))
+    def test_matches_row_loop_oracle(self, rows, items):
+        # rows, vocabulary and table as the slot-by-slot loops build them,
+        # tie slots in their given order and empty slots kept
+        try:
+            want_rows = orderings_rows_oracle(rows)
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                rw.OrderingsTable.from_rows(rows)
+            return
+        got = rw.OrderingsTable.from_rows(rows)
+        assert got.rows == want_rows
+        assert got.names == tuple(dict.fromkeys(n for r in want_rows for s in r for n in s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                want = from_orderings_oracle(rows, items)
+            except DataError as exc:
+                with pytest.raises(DataError, match=re.escape(str(exc))):
+                    rw.from_orderings(got, items)
+                return
+            for table in (rw.from_orderings(got, items), rw.from_orderings(rows, items)):
+                assert table.items == want.items
+                assert np.array_equal(table.ranks, want.ranks)
+                assert np.array_equal(table.weights, want.weights)
+                assert np.array_equal(table.na_mask, want.na_mask)
 
     def test_round_trip_through_ordering_extraction(self, abcd):
         # a dense no-NA table survives ordering extraction + rebuild

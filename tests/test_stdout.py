@@ -31,3 +31,19 @@ def test_library_calls_print_nothing(name, request, capfd, tmp_path):
                             minsize=2, maxdepth=2)
         rw.predict_node(tree, {"x": 0.0})
     assert capfd.readouterr().out == ""
+
+
+def test_readers_and_writer_print_nothing(capfd, tmp_path):
+    # the bundled strict-orders file, and the bundled pudding table written
+    # as a rankings CSV with weights and read back
+    from rankworth.datasets import load_pudding, netflix_shape_soc_path
+
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        orderings, freqs = rw.read_preflib_soc(netflix_shape_soc_path())
+        rw.from_orderings(orderings, sorted(orderings.names), weights=freqs)
+        path = tmp_path / "pudding.csv"
+        rw.write_rank_csv(load_pudding(), path)
+        rw.read_rank_csv(path)
+    assert capfd.readouterr().out == ""
