@@ -110,7 +110,7 @@ class Summary:
                         self.z_values, self.p_values))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["parameter", "estimate", "se", "z", "p"])
             for name, est, se, z, p in self.rows():
@@ -208,7 +208,7 @@ class QuasiVariances:
 
     def write_csv(self, path, level: float = 0.95) -> None:
         lower, upper = comparison_intervals(self, level)
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["item", "estimate", "se", "quasi_se", "lower", "upper"])
             for i, name in enumerate(self.items):

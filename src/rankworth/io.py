@@ -23,7 +23,8 @@ import numpy as np
 from .errors import DataError
 from .fit import FitConfig, ModelFit
 from .likelihood import Parameters
-from .rankings import OrderingsTable, RankingsTable, _validate_items, from_rank_matrix
+from .rankings import OrderingsTable, RankingsTable, from_rank_matrix
+from .tree import CovariateFrame, PLNode, PLTree, Split, TreeConfig
 
 __all__ = [
     "SocFile",
@@ -32,6 +33,8 @@ __all__ = [
     "write_rank_csv",
     "write_model_json",
     "read_model_json",
+    "tree_to_dict",
+    "tree_from_dict",
 ]
 
 MODEL_JSON_VERSION = 1
@@ -233,10 +236,10 @@ def _parse_rank_csv(path, weights_col: str | None = None):
                     raise DataError(f"non-numeric {special[k]} in row {i + 1}" if k in special
                                     else f"non-integer rank code in row {i + 1}") from exc
         raise DataError(f"malformed rankings CSV: {exc}") from exc
-    items = _validate_items(header[k] for k in item_cols)
-    ranks = np.stack([cells[str(k)] for k in item_cols], axis=1)
+    ranks = np.array([cells[str(k)] for k in item_cols], np.int64).T
     columns = {kind: cells[str(k)] for k, kind in special.items()}
-    return from_rank_matrix(ranks, items, weights=columns.get("weight")), columns.get("group")
+    return (from_rank_matrix(ranks, [header[k] for k in item_cols], weights=columns.get("weight")),
+            columns.get("group"))
 
 
 def read_rank_csv(path, weights_col: str | None = None) -> RankingsTable:
@@ -250,7 +253,7 @@ def read_rank_csv(path, weights_col: str | None = None) -> RankingsTable:
             ``weights_col`` missing, or beside a column named "weight"; a
             row with the wrong cell count or a cell that is not an integer
             (a number for the weight), named by its row; or as
-            :func:`~rankworth.rankings.from_rank_matrix`.
+            :class:`~rankworth.rankings.RankingsTable`.
     """
     return _parse_rank_csv(path, weights_col)[0]
 
@@ -261,8 +264,6 @@ def read_covariates_csv(path):
     order is the group order.  Columns whose values all parse as numbers
     become numeric covariates, everything else categorical; a numeric
     column with a ``nan`` or ``inf`` cell raises DataError."""
-    from .tree import CovariateFrame
-
     header, body = _read_csv(path)
     rows = _csv_rows(body, len(header))
     if "group" in header:
@@ -319,8 +320,6 @@ def _fit_to_dict(fit: ModelFit) -> dict:
 def write_model_json(obj, path) -> None:
     """Serialize a fitted model or tree losslessly (floats round-trip
     bit-exactly through JSON's shortest-repr encoding)."""
-    from .tree import PLTree, tree_to_dict
-
     if isinstance(obj, ModelFit):
         payload = _fit_to_dict(obj)
     elif isinstance(obj, PLTree):
@@ -392,6 +391,85 @@ def _fit_from_dict(d: dict, where: str = "fit") -> ModelFit:
     )
 
 
+def tree_to_dict(tree: PLTree) -> dict:
+    def node_dict(node: PLNode) -> dict:
+        d = {"node_id": node.node_id, "n_groups": node.n_groups}
+        if node.is_leaf:
+            d["fit"] = _fit_to_dict(node.fit_result)
+        else:
+            s = node.split
+            d["split"] = {
+                "covariate": s.covariate,
+                "kind": s.kind,
+                "threshold": s.threshold,
+                "left_levels": sorted(s.left_levels) if s.left_levels else None,
+                "right_levels": sorted(s.right_levels) if s.left_levels else None,
+                "statistic": s.statistic,
+                "p_value": s.p_value,
+            }
+            d["left"] = node_dict(node.left)
+            d["right"] = node_dict(node.right)
+        return d
+
+    return {
+        "kind": "tree",
+        "version": MODEL_JSON_VERSION,
+        "items": list(tree.items),
+        "covariates": list(tree.covariate_names),
+        "minsize": tree.config.minsize,
+        "maxdepth": tree.config.maxdepth,
+        "alpha": tree.config.alpha,
+        "root": node_dict(tree.root),
+    }
+
+
+def tree_from_dict(d: dict) -> PLTree:
+    """Inverse of :func:`tree_to_dict`; leaf fits carry no event structure.
+
+    Raises:
+        DataError: a key is missing or of the wrong type (a numeric split
+            needs a threshold, any other its levels), a split's kind is
+            unknown, or a leaf's fit is malformed or has other items than
+            the tree.
+    """
+    d = _checked(d, {"items": [str], "covariates": [str], "minsize": int,
+                     "maxdepth": int, "alpha": _NUMBER, "root": dict}, "tree")
+    items = tuple(d["items"])
+
+    def node_from(nd: dict, depth: int) -> PLNode:
+        nd = _checked(nd, {"node_id": int, "n_groups": int}, "tree node")
+        where = f"node {nd['node_id']}"
+        node = PLNode(node_id=nd["node_id"], depth=depth, n_groups=nd["n_groups"],
+                      group_ids=np.zeros(0, dtype=np.int64))
+        if "split" in nd:
+            nd = _checked(nd, {"split": dict, "left": dict, "right": dict}, where)
+            s = _checked(nd["split"], {"covariate": str, "kind": str,
+                                       "statistic": _NUMBER, "p_value": _NUMBER},
+                         f"{where} split")
+            kind = s["kind"]
+            if kind not in ("numeric", "categorical", "ordinal"):
+                raise DataError(f"malformed model file: {where} split has kind {kind!r}")
+            numeric = kind == "numeric"
+            _checked(s, {"threshold": _NUMBER} if numeric else
+                     {"left_levels": [str], "right_levels": [str]}, f"{where} split")
+            node.split = Split(s["covariate"], kind, s["threshold"] if numeric else None,
+                               None if numeric else frozenset(s["left_levels"]),
+                               None if numeric else frozenset(s["right_levels"]),
+                               statistic=s["statistic"], p_value=s["p_value"])
+            node.left = node_from(nd["left"], depth + 1)
+            node.right = node_from(nd["right"], depth + 1)
+        else:
+            node.fit_result = _fit_from_dict(_checked(nd, {"fit": dict}, where)["fit"],
+                                             f"{where} fit")
+            if node.fit_result.items != items:
+                raise DataError(f"malformed model file: {where} fit has other "
+                                "items than the tree")
+        return node
+
+    config = TreeConfig(minsize=d["minsize"], maxdepth=d["maxdepth"], alpha=d["alpha"])
+    return PLTree(node_from(d["root"], 1), items, tuple(d["covariates"]), config)
+
+
 def read_model_json(path):
     """Read a model JSON file; returns a :class:`ModelFit` or a tree.
 
@@ -401,10 +479,8 @@ def read_model_json(path):
     Raises:
         DataError: the file is not JSON, its kind or version is unknown, or
             its content is malformed (see :func:`_fit_from_dict` and
-            :func:`~rankworth.tree.tree_from_dict`).
+            :func:`tree_from_dict`).
     """
-    from .tree import tree_from_dict
-
     with open(path, encoding="utf-8") as fh:
         try:
             d = json.load(fh)

@@ -55,7 +55,7 @@ class AdjacencyMatrix:
         object.__setattr__(self, "counts", c)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["item", *self.items])
             for name, row in zip(self.items, self.counts):

@@ -41,16 +41,30 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _whole(a: np.ndarray, message: str) -> np.ndarray:
+    """``a`` as int64; raises DataError(``message``) unless every value is a
+    whole number (only a float array needs looking at)."""
+    if a.dtype.kind not in "biu" and not (a.dtype.kind == "f" and np.isfinite(a).all()
+                                          and (np.mod(a, 1) == 0).all()):
+        raise DataError(message)
+    return a.astype(np.int64)
+
+
 def _dense_recode(m: np.ndarray) -> np.ndarray:
-    """Close rank gaps in every row of ``m``, preserving order and ties:
-    each positive code becomes the number of distinct positive codes of its
-    row up to and including it."""
-    order = np.argsort(m, axis=1, kind="stable")
-    ascending = np.take_along_axis(m, order, axis=1)
-    levels = np.cumsum(np.diff(ascending, axis=1, prepend=0) > 0, axis=1)
-    out = np.empty_like(m)
-    np.put_along_axis(out, order, levels, axis=1)
-    return out
+    """Close the rank gaps of the non-negative ``m`` in place, keeping each
+    row's order and ties: a positive code becomes the number of distinct
+    positive codes of its row up to it.  Only rows that are not dense
+    (fewer distinct codes in 1..J than their largest code) are sorted."""
+    r, j = m.shape
+    present = np.zeros((r, j + 2), dtype=bool)
+    present[np.arange(r)[:, None], np.minimum(m, j + 1)] = True
+    gapped = present[:, 1:j + 1].sum(axis=1) != m.max(axis=1, initial=0)
+    sub = m[gapped]
+    order = np.argsort(sub, axis=1, kind="stable")
+    ascending = np.take_along_axis(sub, order, axis=1)
+    np.put_along_axis(sub, order, np.cumsum(np.diff(ascending, prepend=0) > 0, axis=1), axis=1)
+    m[gapped] = sub
+    return m
 
 
 def _validate_items(items) -> tuple[str, ...]:
@@ -66,14 +80,21 @@ def _validate_items(items) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RankingsTable:
-    """Immutable table of dense rankings.
+    """Immutable table of dense rankings, checked and recoded on construction.
 
     Attributes:
-        items: item names, one per column.
-        ranks: (R, J) integer matrix of dense rank codes, 0 = unranked.
-        weights: (R,) finite non-negative multiplicities, default 1.0 each.
-        na_mask: (R,) flags for rows with fewer than two ranked items;
-            such rows contribute nothing to any computation.
+        items: item names (as ``str``), one per column.
+        ranks: (R, J) int64 rank codes, 0 = unranked, stored dense: the
+            gaps of each row are closed, its order and ties kept.
+        weights: (R,) finite non-negative multiplicities.
+        na_mask: (R,) the given flags, and every row with fewer than two
+            ranked items; flagged rows contribute nothing to any computation.
+
+    Raises:
+        DataError: fewer than two items, or an empty or repeated item name;
+            ranks that are not a 2-D matrix with one column per item, or a
+            code that is not a non-negative integer; weights not of length
+            R, or not finite and non-negative; flags not of length R.
     """
 
     items: tuple[str, ...]
@@ -82,11 +103,27 @@ class RankingsTable:
     na_mask: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", _as_readonly(self.ranks.astype(np.int64)))
-        object.__setattr__(self, "weights", _as_readonly(self.weights.astype(np.float64)))
-        object.__setattr__(self, "na_mask", _as_readonly(self.na_mask.astype(bool)))
-        if not (np.isfinite(self.weights) & (self.weights >= 0)).all():
+        items = _validate_items(self.items)
+        m = np.asarray(self.ranks)
+        if m.ndim != 2:
+            raise DataError("rank matrix must be two-dimensional")
+        if m.shape[1] != len(items):
+            raise DataError(f"rank matrix has {m.shape[1]} columns for {len(items)} items")
+        m = _whole(m, "rank codes must be integers")
+        if (m < 0).any():
+            raise DataError("rank codes must be non-negative")
+        w = np.asarray(self.weights, dtype=np.float64)
+        if w.shape != (len(m),):
+            raise DataError("weights length must match the number of rankings")
+        if not (np.isfinite(w) & (w >= 0)).all():
             raise DataError("weights must be finite and non-negative")
+        na = np.asarray(self.na_mask, dtype=bool)
+        if na.shape != w.shape:
+            raise DataError("NA flags length must match the number of rankings")
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "ranks", _as_readonly(_dense_recode(m)))
+        object.__setattr__(self, "weights", _as_readonly(w))
+        object.__setattr__(self, "na_mask", _as_readonly(na | ((m > 0).sum(axis=1) < 2)))
 
     @property
     def n_rows(self) -> int:
@@ -100,17 +137,13 @@ class RankingsTable:
         """Largest tie-group size over non-NA rows (1 if no ties / no rows)."""
         ranks = self.ranks[~self.na_mask]
         row, col = np.nonzero(ranks)
-        if row.size == 0:
-            return 1
-        # one bin per (row, code) pair
-        counts = np.bincount(row * (int(ranks.max()) + 1) + ranks[row, col])
-        return max(1, int(counts.max()))
+        # one bin per (row, code) pair; dense codes are at most J
+        counts = np.bincount(row * (self.n_items + 1) + ranks[row, col])
+        return max(1, int(counts.max(initial=0)))
 
     def with_weights(self, weights) -> "RankingsTable":
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (self.n_rows,):
-            raise DataError(f"weights must have length {self.n_rows}")
-        return RankingsTable(self.items, self.ranks, w, self.na_mask)
+        """The same rankings with new weights; raises as :class:`RankingsTable`."""
+        return RankingsTable(self.items, self.ranks, weights, self.na_mask)
 
     def formatted(self, width: int | None = None) -> list[str]:
         return [format_ranking(self.ranks[i], self.items, width=width)
@@ -168,11 +201,10 @@ class Stages(NamedTuple):
 
 
 def _stages(table: RankingsTable) -> Stages:
-    """The choice stages of ``table``, from one sort of its usable rows."""
-    rows = np.flatnonzero(~table.na_mask & (table.weights != 0)
-                          & ((table.ranks > 0).sum(axis=1) >= 2))
+    """The choice stages of ``table``, from the level counts of its usable rows."""
+    rows = np.flatnonzero(~table.na_mask & (table.weights != 0))
     j = table.n_items
-    dense = _dense_recode(table.ranks[rows]).astype(np.min_scalar_type(j))
+    dense = table.ranks[rows].astype(np.min_scalar_type(j))
     # items per (row, level); a level is a stage while two or more items remain
     per_level = np.bincount((np.arange(rows.size)[:, None] * (j + 1) + dense).ravel(),
                             minlength=rows.size * (j + 1)).reshape(rows.size, j + 1)[:, 1:]
@@ -183,41 +215,16 @@ def _stages(table: RankingsTable) -> Stages:
 
 
 def from_rank_matrix(matrix, item_names, weights=None) -> RankingsTable:
-    """Build a validated :class:`RankingsTable` from a rank-code matrix.
-
-    Non-dense rows are recoded (gaps closed, ties preserved); rows ranking
-    fewer than two items are flagged NA with a warning.
-
-    Raises:
-        DataError: fewer than two items, negative or non-integer entries,
-            duplicate item names, or weights that are negative, NaN or
-            infinite.
-    """
-    items = _validate_items(item_names)
+    """A :class:`RankingsTable` of a rank-code matrix, each row of weight 1
+    unless ``weights`` are given; rows ranking fewer than two items are
+    flagged NA with a warning.  Raises as :class:`RankingsTable`."""
     m = np.asarray(matrix)
-    if m.ndim != 2:
-        raise DataError("rank matrix must be two-dimensional")
-    if m.shape[1] != len(items):
-        raise DataError(f"rank matrix has {m.shape[1]} columns for {len(items)} items")
-    if m.size and not np.all(np.equal(np.mod(m, 1), 0)):
-        raise DataError("rank codes must be integers")
-    m = m.astype(np.int64)
-    if (m < 0).any():
-        raise DataError("rank codes must be non-negative")
-
-    dense = _dense_recode(m)
-    na = (dense > 0).sum(axis=1) < 2
-    flagged = int(na.sum())
+    table = RankingsTable(item_names, m, np.ones(m.shape[:1]) if weights is None else weights,
+                          np.zeros(m.shape[:1], dtype=bool))
+    flagged = int(table.na_mask.sum())
     if flagged:
         warnings.warn(f"{flagged} ranking(s) with fewer than 2 ranked items set to NA")
-
-    if weights is None:
-        w = np.ones(dense.shape[0])
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (dense.shape[0],):
-            raise DataError("weights length must match the number of rankings")
-    return RankingsTable(items, dense, w, na)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,11 +331,11 @@ def from_orderings(orderings, item_names, weights=None) -> RankingsTable:
 
     Raises:
         DataError: a name twice in one row (of rows not yet a table), the
-            first name not in ``item_names``, or as :func:`from_rank_matrix`.
+            first name not in ``item_names``, or as :class:`RankingsTable`.
     """
     if not isinstance(orderings, OrderingsTable):
         orderings = OrderingsTable.from_rows(orderings)
-    items = _validate_items(item_names)
+    items = [str(x) for x in item_names]
     index = dict(zip(items, range(len(items))))
     col = np.array([index.get(name, -1) for name in orderings.names], dtype=np.int64)
     codes = orderings.codes
@@ -338,7 +345,7 @@ def from_orderings(orderings, item_names, weights=None) -> RankingsTable:
         name = orderings.names[unknown[np.lexsort((codes[first, unknown], first))[0]]]
         raise DataError(f"unknown item name {name!r}")
     m = np.zeros((orderings.n_rows, len(items)), dtype=np.int64)
-    # a name's slot counted from 1, 0 where absent; from_rank_matrix closes the gaps
+    # a name's slot counted from 1, 0 where absent; the table closes the gaps
     m[:, col[col >= 0]] = -(-codes[:, col >= 0] // orderings.width)
     return from_rank_matrix(m, items, weights=weights)
 
@@ -366,10 +373,12 @@ def format_ranking(row, items, width: int | None = None) -> str:
 
 def subset_items(table: RankingsTable, keep_items) -> RankingsTable:
     """Drop all columns outside ``keep_items``; affected rows are recoded
-    and rows left with fewer than two ranked items are flagged NA.
+    and rows left with fewer than two ranked items are flagged NA, with a
+    warning.
 
     Raises:
-        DataError: ``keep_items`` empty, not a subset, or fewer than 2 names.
+        DataError: fewer than two names, a name not in the table, or as
+            :class:`RankingsTable`.
     """
     keep = [str(k) for k in keep_items]
     if len(keep) < 2:
@@ -378,13 +387,11 @@ def subset_items(table: RankingsTable, keep_items) -> RankingsTable:
     if missing:
         raise DataError(f"unknown item(s): {missing}")
     cols = [table.items.index(k) for k in keep]
-    sub = table.ranks[:, cols]
-    dense = _dense_recode(sub)
-    na = table.na_mask | ((dense > 0).sum(axis=1) < 2)
-    newly = int(na.sum() - table.na_mask.sum())
+    sub = RankingsTable(keep, table.ranks[:, cols], table.weights, table.na_mask)
+    newly = int(sub.na_mask.sum() - table.na_mask.sum())
     if newly:
         warnings.warn(f"{newly} ranking(s) with fewer than 2 ranked items set to NA")
-    return RankingsTable(tuple(keep), dense, table.weights, na)
+    return sub
 
 
 @dataclass(frozen=True)
@@ -407,11 +414,13 @@ def group_rankings(table: RankingsTable, group_index) -> GroupedRankings:
     """Attach a group id in 1..G to every ranking.
 
     Raises:
-        DataError: length mismatch or a gap in the group ids.
+        DataError: length mismatch, an id that is not a positive integer,
+            or a gap in the group ids.
     """
-    idx = np.asarray(group_index, dtype=np.int64)
+    idx = np.asarray(group_index)
     if idx.shape != (table.n_rows,):
         raise DataError("group index length must match the number of rankings")
+    idx = _whole(idx, "group ids must be positive integers")
     if idx.size == 0:
         raise DataError("cannot group an empty table")
     g = int(idx.max())

@@ -56,8 +56,6 @@ __all__ = [
     "grow_tree",
     "predict_node",
     "suplm_pvalue",
-    "tree_to_dict",
-    "tree_from_dict",
     "write_tree_plot_csv",
 ]
 
@@ -369,19 +367,19 @@ _BLOCK_CELLS = 1 << 14
 
 
 def best_split(grouped: GroupedRankings, covariate: Covariate,
-               config: TreeConfig, max_tie_order: int | None = None, *,
-               tally: dict | None = None):
+               config: TreeConfig, *, tally: dict | None = None):
     """Exhaustive cutpoint scan for one covariate.
 
     Numeric: midpoints of consecutive distinct sorted values; categorical:
     binary level subsets (ordinal: contiguous only).  Every candidate's
-    two children are refitted, all at once: each child re-weights one
-    shared event structure (its groups' event weights and observed
-    statistics, plus every pseudo-comparison with the ghost item at its
-    full weight), as every node of a tree does, and the children are
-    solved as the columns of one iterative-scaling problem, every column
-    started from the pooled fit.  A candidate whose child has no scaling
-    update (an item without wins or tie credit) is inadmissible and skipped.
+    two children are refitted at the table's tie order, all at once: each
+    child re-weights one shared event structure (its groups' event weights
+    and observed statistics, plus every pseudo-comparison with the ghost
+    item at its full weight), as every node of a tree does, and the
+    children are solved as the columns of one iterative-scaling problem,
+    every column started from the pooled fit.  A candidate whose child has
+    no scaling update (an item without wins or tie credit) is inadmissible
+    and skipped.
 
     Returns (Split, summed child log-likelihood) or None when no candidate
     satisfies the size constraint and is admissible.  If ``tally`` is a
@@ -390,11 +388,9 @@ def best_split(grouped: GroupedRankings, covariate: Covariate,
     """
     table = grouped.rankings
     fit_config = config.fit_config
-    if max_tie_order is None:
-        max_tie_order = table.max_tie_order()
     if len(covariate.values) != grouped.n_groups:
         raise DataError("covariate length must match the number of groups")
-    events = EventSet(table, max_tie_order, fit_config.npseudo, grouped.group_index)
+    events = EventSet(table, table.max_tie_order(), fit_config.npseudo, grouped.group_index)
     found, inadmissible, unconverged = _split_node(
         events, slice(None), covariate, config, _iterative_scaling(events, fit_config)[0])
     if tally is not None:
@@ -578,89 +574,6 @@ def predict_node(tree: PLTree, covariate_row: dict):
             raise DataError(f"covariate {name!r} required for prediction")
         node = node.left if node.split.goes_left(covariate_row[name]) else node.right
     return node.node_id, node.fit_result.worth()
-
-
-def tree_to_dict(tree: PLTree) -> dict:
-    from .io import MODEL_JSON_VERSION, _fit_to_dict
-
-    def node_dict(node: PLNode) -> dict:
-        d = {"node_id": node.node_id, "n_groups": node.n_groups}
-        if node.is_leaf:
-            d["fit"] = _fit_to_dict(node.fit_result)
-        else:
-            s = node.split
-            d["split"] = {
-                "covariate": s.covariate,
-                "kind": s.kind,
-                "threshold": s.threshold,
-                "left_levels": sorted(s.left_levels) if s.left_levels else None,
-                "right_levels": sorted(s.right_levels) if s.left_levels else None,
-                "statistic": s.statistic,
-                "p_value": s.p_value,
-            }
-            d["left"] = node_dict(node.left)
-            d["right"] = node_dict(node.right)
-        return d
-
-    return {
-        "kind": "tree",
-        "version": MODEL_JSON_VERSION,
-        "items": list(tree.items),
-        "covariates": list(tree.covariate_names),
-        "minsize": tree.config.minsize,
-        "maxdepth": tree.config.maxdepth,
-        "alpha": tree.config.alpha,
-        "root": node_dict(tree.root),
-    }
-
-
-def tree_from_dict(d: dict) -> PLTree:
-    """Inverse of :func:`tree_to_dict`; leaf fits carry no event structure.
-
-    Raises:
-        DataError: a key is missing or of the wrong type (a numeric split
-            needs a threshold, any other its levels), a split's kind is
-            unknown, or a leaf's fit is malformed or has other items than
-            the tree.
-    """
-    from .io import _NUMBER, _checked, _fit_from_dict
-
-    d = _checked(d, {"items": [str], "covariates": [str], "minsize": int,
-                     "maxdepth": int, "alpha": _NUMBER, "root": dict}, "tree")
-    items = tuple(d["items"])
-
-    def node_from(nd: dict, depth: int) -> PLNode:
-        nd = _checked(nd, {"node_id": int, "n_groups": int}, "tree node")
-        where = f"node {nd['node_id']}"
-        node = PLNode(node_id=nd["node_id"], depth=depth, n_groups=nd["n_groups"],
-                      group_ids=np.zeros(0, dtype=np.int64))
-        if "split" in nd:
-            nd = _checked(nd, {"split": dict, "left": dict, "right": dict}, where)
-            s = _checked(nd["split"], {"covariate": str, "kind": str,
-                                       "statistic": _NUMBER, "p_value": _NUMBER},
-                         f"{where} split")
-            kind = s["kind"]
-            if kind not in ("numeric", "categorical", "ordinal"):
-                raise DataError(f"malformed model file: {where} split has kind {kind!r}")
-            numeric = kind == "numeric"
-            _checked(s, {"threshold": _NUMBER} if numeric else
-                     {"left_levels": [str], "right_levels": [str]}, f"{where} split")
-            node.split = Split(s["covariate"], kind, s["threshold"] if numeric else None,
-                               None if numeric else frozenset(s["left_levels"]),
-                               None if numeric else frozenset(s["right_levels"]),
-                               statistic=s["statistic"], p_value=s["p_value"])
-            node.left = node_from(nd["left"], depth + 1)
-            node.right = node_from(nd["right"], depth + 1)
-        else:
-            node.fit_result = _fit_from_dict(_checked(nd, {"fit": dict}, where)["fit"],
-                                             f"{where} fit")
-            if node.fit_result.items != items:
-                raise DataError(f"malformed model file: {where} fit has other "
-                                "items than the tree")
-        return node
-
-    config = TreeConfig(minsize=d["minsize"], maxdepth=d["maxdepth"], alpha=d["alpha"])
-    return PLTree(node_from(d["root"], 1), items, tuple(d["covariates"]), config)
 
 
 def write_tree_plot_csv(tree: PLTree, path) -> None:

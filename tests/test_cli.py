@@ -1,5 +1,8 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -199,6 +202,25 @@ class TestTreeCommand:
         assert "terminal nodes: 2" in result.output
         assert "x <=" in result.output
         assert out.exists() and plot.exists()
+
+
+class TestLocale:
+    def test_csv_outputs_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # the CSV writers must not take their encoding from the locale
+        data = tmp_path / "cafe.csv"
+        data.write_text("café,b,c\n1,2,3\n2,1,3\n3,2,1\n1,3,2\n", encoding="utf-8")
+        runs = [["summary", str(data), "--csv-out", str(tmp_path / "summary.csv")],
+                ["qv", str(data), "--csv-out", str(tmp_path / "qv.csv")],
+                ["connectivity", str(data), "--adjacency-csv", str(tmp_path / "adj.csv")]]
+        script = ("from rankworth.cli import main\n"
+                  f"for args in {runs!r}:\n"
+                  "    main(args, standalone_mode=False)\n")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(rw.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        for name in ("summary.csv", "qv.csv", "adj.csv"):
+            assert "café" in (tmp_path / name).read_bytes().decode("utf-8")
 
 
 class TestVersion:

@@ -285,6 +285,19 @@ class TestGroupRankings:
         with pytest.raises(DataError, match="missing group"):
             rw.group_rankings(t, [1, 3, 3])
 
+    def test_non_integer_ids_refused(self):
+        # 1.5 and 2.7 are not truncated into groups 1 and 2
+        t = rw.from_rank_matrix([[1, 2]] * 4, ["a", "b"])
+        with pytest.raises(DataError, match="group ids must be positive integers"):
+            rw.group_rankings(t, [1.5, 1.0, 2.0, 2.7])
+        assert rw.group_rankings(t, [1.0, 1.0, 2.0, 2.0]).group_index.tolist() == [1, 1, 2, 2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_ids_refused(self, bad):
+        t = rw.from_rank_matrix([[1, 2]] * 4, ["a", "b"])
+        with pytest.raises(DataError, match="group ids must be positive integers"):
+            rw.group_rankings(t, [1.0, bad, 2.0, 2.0])
+
 
 class TestDecodeComplete:
     def test_decode_single_row(self):
@@ -371,3 +384,122 @@ class TestTableBasics:
             t = rw.RankingsTable(t.items, t.ranks, rng.integers(0, 2, t.n_rows),
                                  t.na_mask | (rng.random(t.n_rows) < 0.3))
             assert t.max_tie_order() == max_tie_order_oracle(t)
+
+
+def random_table_input(rng):
+    """Arguments for ``RankingsTable``: gapped codes (steps up to 10**12), given
+    NA flags and weights, now and then of another dtype, and now and then
+    broken: repeated, empty or too few names, fractional, negative or NaN
+    codes, a wrong shape, bad weights or flags of the wrong length."""
+    j = int(rng.integers(1, 6))
+    items = [f"i{k}" for k in range(j)] if rng.random() < 0.8 else list(range(10, 10 + j))
+    if j >= 2 and rng.random() < 0.1:
+        items[-1] = items[0]
+    if rng.random() < 0.05:
+        items[0] = ""
+    n = int(rng.integers(0, 7))
+    m = np.zeros((n, j), dtype=np.int64)
+    for row in m:
+        ranked = rng.permutation(j)[:int(rng.integers(0, j + 1))]
+        level = 0
+        for k in ranked:
+            if level == 0 or rng.random() < 0.7:   # else a tie with the last item
+                level += int(rng.choice([1, 2, 5, 10**6, 10**12]))
+            row[k] = level
+    m = m.astype(rng.choice([np.int64, np.int32, np.float64])) if m.max(initial=0) < 2**31 else m
+    if n and rng.random() < 0.15:
+        m = m.astype(float)
+        m[rng.integers(n), rng.integers(j)] = rng.choice([0.5, -1.0, np.nan, 2.7])
+    elif n and rng.random() < 0.05:
+        m[rng.integers(n), rng.integers(j)] = -3
+    shape = rng.random()
+    if shape < 0.05:
+        m = m.ravel()
+    elif shape < 0.1:
+        m = m[:, 1:]
+    elif shape < 0.12:
+        m = m[None]
+    weights = rng.choice([0.0, 0.5, 1.0, 3.0], size=n)
+    if rng.random() < 0.05:
+        weights = np.ones(n + 1)
+    elif n and rng.random() < 0.05:
+        weights[rng.integers(n)] = rng.choice([-1.0, np.nan, np.inf])
+    flags = rng.random(n) < 0.2
+    if rng.random() < 0.03:
+        flags = flags[1:]
+    return items, m, weights, flags
+
+
+def table_input_fault(items, m, weights, flags) -> bool:
+    """Whether ``RankingsTable`` must refuse these arguments, judged cell by cell."""
+    names = [str(x) for x in items]
+    if len(names) < 2 or "" in names or len(set(names)) < len(names):
+        return True
+    if m.ndim != 2 or m.shape[1] != len(names):
+        return True
+    if not all(float(c).is_integer() and c >= 0 for c in m.ravel().tolist()):
+        return True
+    if weights.shape != (len(m),) or not all(0 <= w < np.inf for w in weights.tolist()):
+        return True
+    return flags.shape != (len(m),)
+
+
+class TestTableConstructor:
+    """The constructor checks a table and puts it in normal form, whoever
+    builds it: dense codes, and NA wherever fewer than two items are ranked."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_normal_form_or_data_error(self, seed):
+        items, m, weights, flags = random_table_input(np.random.default_rng(seed))
+        if table_input_fault(items, m, weights, flags):
+            with pytest.raises(DataError):
+                rw.RankingsTable(items, m, weights, flags)
+            return
+        t = rw.RankingsTable(items, m, weights, flags)
+        want = [dense_recode_row_oracle(row) for row in m.astype(np.int64)]
+        assert t.items == tuple(str(x) for x in items)
+        assert t.ranks.dtype == np.int64 and t.ranks.shape == m.shape
+        assert all(np.array_equal(got, row) for got, row in zip(t.ranks, want))
+        assert t.na_mask.tolist() == [f or (row > 0).sum() < 2 for f, row in zip(flags, want)]
+        assert t.weights.dtype == np.float64 and np.array_equal(t.weights, weights)
+
+    def test_repeated_names_refused(self):
+        with pytest.raises(DataError, match="item names must be unique"):
+            rw.RankingsTable(("a", "a", "b"), np.array([[1, 2, 3]]), np.ones(1), np.zeros(1))
+        t = rw.from_rank_matrix([[1, 2, 3]], list("abc"))
+        with pytest.raises(DataError, match="item names must be unique"):
+            rw.subset_items(t, ["a", "a", "b"])
+
+    def test_fractional_codes_refused(self):
+        # not truncated to [1, 2, 1], a tie the data do not contain
+        with pytest.raises(DataError, match="rank codes must be integers"):
+            rw.RankingsTable(tuple("abc"), np.array([[1.5, 2.7, 1.2], [1.0, 2.0, 3.0]]),
+                             np.ones(2), np.zeros(2))
+
+    def test_negative_code_refused(self):
+        with pytest.raises(DataError, match="rank codes must be non-negative"):
+            rw.RankingsTable(tuple("abc"), np.array([[1, -2, 3], [1, 2, 3]]),
+                             np.ones(2), np.zeros(2))
+
+    def test_weight_length_refused(self):
+        with pytest.raises(DataError, match="weights length must match"):
+            rw.RankingsTable(tuple("ab"), np.array([[1, 2], [2, 1]]), np.ones(5), np.zeros(2))
+        with pytest.raises(DataError, match="weights length must match"):
+            rw.from_rank_matrix([[1, 2], [2, 1]], ["a", "b"]).with_weights(np.ones(5))
+
+    def test_memory_does_not_grow_with_the_codes(self):
+        # one row with a code of 10**7: nothing may allocate per unit of the code
+        import tracemalloc
+
+        t = rw.RankingsTable(tuple("abc"), np.array([[1, 10**7, 2]]), np.ones(1), np.zeros(1))
+        for call in (t.max_tie_order, lambda: rw.fit(t)):
+            tracemalloc.start()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
