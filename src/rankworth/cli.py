@@ -196,9 +196,9 @@ def qv(data, npseudo, method, maxit, tol, ref, level, csv_out, json_out,
     lower, upper = inference.comparison_intervals(quasi, level)
     click.echo(f"{'item':>12s} {'estimate':>10s} {'se':>8s} {'quasi_se':>9s} "
                f"{'lower':>9s} {'upper':>9s}")
+    undefined = inference.undefined_se(quasi.std_errors)
     for i, name in enumerate(quasi.items):
-        se = quasi.std_errors[i]
-        se_txt = f"{se:8.4f}" if se > 1e-14 else f"{'NA':>8s}"
+        se_txt = f"{'NA':>8s}" if undefined[i] else f"{quasi.std_errors[i]:8.4f}"
         click.echo(f"{name:>12s} {quasi.estimates[i]:10.4f} {se_txt} "
                    f"{quasi.quasi_se[i]:9.4f} {lower[i]:9.4f} {upper[i]:9.4f}")
     lo, hi = quasi.simple_error_range

@@ -14,10 +14,12 @@ from __future__ import annotations
 import csv
 import os
 from importlib import resources
+from io import StringIO
 
 import numpy as np
 
 from ..errors import DataError
+from ..io import _read_text
 from ..rankings import RankingsTable, from_orderings, from_rank_matrix
 
 __all__ = [
@@ -40,16 +42,21 @@ def _dataset_path(name: str):
 
 def pudding_pair_counts() -> list[dict]:
     """The pudding data as published: one record per brand pair with the
-    number of comparisons, wins for each brand, and ties."""
-    with _dataset_path("pudding.csv").open() as fh:
-        return [{k: int(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    number of comparisons, wins for each brand, and ties.
+
+    Raises:
+        DataError: the bundled file is not valid UTF-8.
+    """
+    text = StringIO(_read_text(_dataset_path("pudding.csv")))
+    return [{k: int(v) for k, v in row.items()} for row in csv.DictReader(text)]
 
 
 def load_pudding() -> RankingsTable:
     """Pudding paired comparisons as a weighted rankings table.
 
     Rows come in three blocks (first-brand wins, second-brand wins, ties),
-    one row per pair, with the observed frequencies as weights.
+    one row per pair, with the observed frequencies as weights.  Raises as
+    :func:`pudding_pair_counts`.
     """
     pairs = pudding_pair_counts()
     items = [str(k) for k in range(1, 7)]
@@ -107,7 +114,11 @@ def load_nascar(path: str | None = None) -> RankingsTable:
     ``RANKWORTH_NASCAR_CSV`` (or ``RANKWORTH_DATA_DIR``) to point at it.
 
     Raises:
-        DataError: no file configured or found.
+        DataError: no file configured or found; a file that is not valid
+            UTF-8; a driver named twice in one race, or a name not in the
+            header; or as :class:`RankingsTable` (for an empty file, fewer
+            than two drivers).
+        OSError: a given ``path`` that cannot be read.
     """
     path = path or nascar_path()
     if path is None:
@@ -115,13 +126,8 @@ def load_nascar(path: str | None = None) -> RankingsTable:
             "race-results file not found: set RANKWORTH_NASCAR_CSV to a CSV "
             "with driver names in the header and one finishing order per row "
             "(Hunter 2004 season data)")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        drivers = [c for c in next(reader) if c]
-        orderings = []
-        for row in reader:
-            orderings.append([c for c in row if c])
-    return from_orderings(orderings, drivers)
+    rows = [[c for c in row if c] for row in csv.reader(StringIO(_read_text(path)))]
+    return from_orderings(rows[1:], rows[0] if rows else [])
 
 
 def netflix_shape_soc_path() -> str:

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .errors import DataError, ModelError
 from .fit import ModelFit, _free_parameters
@@ -137,6 +137,12 @@ class Summary:
             fh.write("\n")
 
 
+def undefined_se(se: np.ndarray) -> np.ndarray:
+    """Where a standard error is undefined: zero, up to rounding against
+    the largest one, so the rule does not depend on the weights' scale."""
+    return se <= 1e-14 * np.nanmax(se, initial=0.0)
+
+
 def summarize(fit: ModelFit, ref=0) -> Summary:
     """Contrast estimates with standard errors, Z statistics and p values.
 
@@ -147,13 +153,11 @@ def summarize(fit: ModelFit, ref=0) -> Summary:
     """
     names, estimates = fit.coef(ref=ref)
     v = vcov(fit, ref=ref)
-    var = np.diag(v).copy()
-    se = np.sqrt(np.maximum(var, 0.0))
-    zero_se = se <= 1e-14
-    se[zero_se] = np.nan
+    se = np.sqrt(np.maximum(np.diag(v), 0.0))
+    se[undefined_se(se)] = np.nan
     with np.errstate(invalid="ignore", divide="ignore"):
         z = estimates / se
-    p = 2.0 * norm.sf(np.abs(z))
+    p = 2.0 * ndtr(-np.abs(z))
     metrics = model_metrics(fit)
     return Summary(tuple(names), estimates, se, z, p, ref,
                    metrics.deviance, metrics.aic, metrics.residual_df,
@@ -346,7 +350,7 @@ def comparison_intervals(qv: QuasiVariances, level: float = 0.95) -> tuple[np.nd
     """
     if not 0.0 < level < 1.0:
         raise DataError("level must be in (0, 1)")
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     lower = qv.estimates - z * qv.quasi_se
     upper = qv.estimates + z * qv.quasi_se
     return lower, upper

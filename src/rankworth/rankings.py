@@ -78,9 +78,10 @@ def _validate_items(items) -> tuple[str, ...]:
     return names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankingsTable:
     """Immutable table of dense rankings, checked and recoded on construction.
+    Two tables are equal when their items, ranks, weights and flags are.
 
     Attributes:
         items: item names (as ``str``), one per column.
@@ -144,6 +145,14 @@ class RankingsTable:
     def with_weights(self, weights) -> "RankingsTable":
         """The same rankings with new weights; raises as :class:`RankingsTable`."""
         return RankingsTable(self.items, self.ranks, weights, self.na_mask)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, RankingsTable) and self.items == other.items
+                and all(np.array_equal(getattr(self, f), getattr(other, f))
+                        for f in ("ranks", "weights", "na_mask")))
+
+    def __hash__(self) -> int:
+        return hash((self.items, self.ranks.shape, self.ranks.tobytes()))
 
     def formatted(self, width: int | None = None) -> list[str]:
         return [format_ranking(self.ranks[i], self.items, width=width)

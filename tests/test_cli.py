@@ -15,6 +15,7 @@ from rankworth.cli import main
 from rankworth.datasets import (
     load_abcd,
     load_disconnected,
+    load_nascar,
     load_pudding,
     netflix_shape_soc_path,
 )
@@ -136,6 +137,14 @@ class TestQvCommand:
         assert "worst relative SE errors, simple contrasts" in result.output
         assert out.exists()
 
+    def test_only_the_reference_se_is_na_at_any_weight_scale(self, runner, tmp_path):
+        table = load_pudding()
+        data = tmp_path / "pudding_1e30.csv"
+        rw.write_rank_csv(table.with_weights(table.weights * 1e30), data)
+        result = runner.invoke(main, ["qv", str(data), "--npseudo", "0"])
+        assert result.exit_code == 0, result.output
+        assert result.output.count(" NA ") == 1
+
 
 class TestConnectivityCommand:
     def test_toy_report(self, runner, data_dir):
@@ -204,6 +213,18 @@ class TestTreeCommand:
         assert out.exists() and plot.exists()
 
 
+def run_fresh(script: str, **env) -> str:
+    """Standard output of ``script`` run by a fresh interpreter on this
+    checkout's package, with ``env`` added to the environment."""
+    env = {**os.environ, **env, "PYTHONPATH": str(Path(rw.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    return done.stdout.decode()
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
 class TestLocale:
     def test_csv_outputs_are_utf8_under_an_ascii_locale(self, tmp_path):
         # the CSV writers must not take their encoding from the locale
@@ -212,15 +233,34 @@ class TestLocale:
         runs = [["summary", str(data), "--csv-out", str(tmp_path / "summary.csv")],
                 ["qv", str(data), "--csv-out", str(tmp_path / "qv.csv")],
                 ["connectivity", str(data), "--adjacency-csv", str(tmp_path / "adj.csv")]]
-        script = ("from rankworth.cli import main\n"
+        run_fresh("from rankworth.cli import main\n"
                   f"for args in {runs!r}:\n"
-                  "    main(args, standalone_mode=False)\n")
-        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
-               "PYTHONPATH": str(Path(rw.__file__).resolve().parents[1])}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
-        assert done.returncode == 0, done.stderr.decode(errors="replace")
+                  "    main(args, standalone_mode=False)\n", **ASCII_LOCALE)
         for name in ("summary.csv", "qv.csv", "adj.csv"):
             assert "café" in (tmp_path / name).read_bytes().decode("utf-8")
+
+    def test_race_results_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        data = tmp_path / "race.csv"
+        data.write_text("Drivér A,B,C\nDrivér A,B,C\nC,Drivér A,B\nB,C,Drivér A\n",
+                        encoding="utf-8")
+        out = run_fresh("from rankworth.datasets import load_nascar\n"
+                        f"print(ascii(load_nascar({str(data)!r}).items))\n", **ASCII_LOCALE)
+        assert out.strip() == ascii(("Drivér A", "B", "C"))
+
+    def test_undecodable_race_results_raise_data_error(self, tmp_path):
+        data = tmp_path / "race.csv"
+        data.write_bytes("Drivér A,B\nB,Drivér A\n".encode("latin-1"))
+        with pytest.raises(rw.DataError, match="not valid UTF-8"):
+            load_nascar(str(data))
+
+
+class TestStartup:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # every command pays the package's imports; scipy.stats alone would
+        # cost more than a whole fit of most tables
+        out = run_fresh("import sys, rankworth, rankworth.cli\n"
+                        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+        assert out.strip() == "[]"
 
 
 class TestVersion:

@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import rankworth as rw
+from rankworth.datasets import load_pudding
 from rankworth.errors import DataError
 from rankworth.likelihood import EventSet
 from tests.conftest import (
@@ -153,6 +155,23 @@ class TestSummarize:
         with pytest.raises(DataError):
             rw.summarize(pudding_fit7, ref="brand x")
 
+    def test_p_values_are_the_normal_tail_exactly(self, pudding_fit7):
+        tied = rw.from_rank_matrix([[1, 1, 2], [2, 1, 1], [1, 2, 1], [1, 1, 2],
+                                    [1, 2, 3], [3, 1, 2]], ["a", "b", "c"])
+        for f in (pudding_fit7, quiet_fit(tied)):
+            for ref in (0, None):
+                s = rw.summarize(f, ref=ref)
+                assert np.array_equal(s.p_values, 2.0 * norm.sf(np.abs(s.z_values)),
+                                      equal_nan=True)
+
+    def test_standard_errors_free_of_weight_scale(self):
+        # at npseudo = 0 the SEs scale as 1/sqrt(scale); only the reference is NA
+        table = load_pudding()
+        base = rw.summarize(quiet_fit(table, npseudo=0))
+        big = rw.summarize(quiet_fit(table.with_weights(table.weights * 1e30), npseudo=0))
+        assert np.isnan(big.std_errors[0]) and not np.isnan(big.std_errors[1:]).any()
+        np.testing.assert_allclose(big.std_errors[1:] * 1e15, base.std_errors[1:], rtol=1e-10)
+
 
 class TestModelMetrics:
     def test_pudding(self, pudding_fit7):
@@ -248,6 +267,14 @@ class TestComparisonIntervals:
         shift = l1 - l2
         assert np.allclose(shift, shift[0], atol=1e-7)
         assert np.allclose(u1 - u2, shift[0], atol=1e-7)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    def test_normal_quantile_exactly(self, pudding_fit7, level):
+        qv = rw.quasi_variances(pudding_fit7, ref=0)
+        lower, upper = rw.comparison_intervals(qv, level)
+        z = norm.ppf(0.5 + level / 2.0)
+        assert np.array_equal(lower, qv.estimates - z * qv.quasi_se)
+        assert np.array_equal(upper, qv.estimates + z * qv.quasi_se)
 
     def test_level_validation(self, pudding_fit7):
         qv = rw.quasi_variances(pudding_fit7, ref=0)

@@ -352,6 +352,19 @@ class TestTableBasics:
         with pytest.raises(ValueError):
             abcd.ranks[0, 0] = 5
 
+    def test_equality_and_hash_by_content(self, abcd):
+        same = abcd.with_weights(abcd.weights)
+        assert abcd == same and hash(abcd) == hash(same) and len({abcd, same}) == 1
+        flagged = rw.RankingsTable(abcd.items, abcd.ranks, abcd.weights,
+                                   np.arange(abcd.n_rows) == 0)
+        renamed = rw.RankingsTable(("A", "B", "C", "E"), abcd.ranks, abcd.weights,
+                                   abcd.na_mask)
+        shorter = rw.RankingsTable(abcd.items, abcd.ranks[1:], abcd.weights[1:],
+                                   abcd.na_mask[1:])
+        for other in (abcd.with_weights(2 * abcd.weights), flagged, renamed, shorter,
+                      abcd.ranks):
+            assert abcd != other
+
     def test_weights_validation(self, abcd):
         with pytest.raises(DataError):
             abcd.with_weights([1.0])

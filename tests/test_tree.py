@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.stats import chi2
 
 import rankworth as rw
 from rankworth.errors import DataError
@@ -131,6 +132,19 @@ class TestInstabilityTest:
         _, p_noise = rw.instability_test(scores, covs["noise"])
         assert p_x < 1e-10
         assert p_noise > p_x
+
+    def test_categorical_p_is_the_chi2_tail_exactly(self):
+        rng = np.random.default_rng(106)
+        for df in range(1, 61):     # df = dim * (levels - 1), at most 12 levels
+            n_levels = 1 + max(k for k in range(1, 12) if df % k == 0)
+            dim = df // (n_levels - 1)
+            cov = rw.Covariate("c", tuple(f"l{k % n_levels}" for k in range(120)),
+                               "categorical")
+            first_level = (np.arange(120) % n_levels == 0)[:, None]
+            for shift in (0.0, 1.0):      # the bulk and the far tail
+                scores = rng.normal(size=(120, dim)) + shift * first_level
+                stat, p = rw.instability_test(scores, cov)
+                assert p == chi2.sf(stat, df)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
