@@ -196,11 +196,10 @@ def qv(data, npseudo, method, maxit, tol, ref, level, csv_out, json_out,
     lower, upper = inference.comparison_intervals(quasi, level)
     click.echo(f"{'item':>12s} {'estimate':>10s} {'se':>8s} {'quasi_se':>9s} "
                f"{'lower':>9s} {'upper':>9s}")
-    undefined = inference.undefined_se(quasi.std_errors)
-    for i, name in enumerate(quasi.items):
-        se_txt = f"{'NA':>8s}" if undefined[i] else f"{quasi.std_errors[i]:8.4f}"
-        click.echo(f"{name:>12s} {quasi.estimates[i]:10.4f} {se_txt} "
-                   f"{quasi.quasi_se[i]:9.4f} {lower[i]:9.4f} {upper[i]:9.4f}")
+    for name, est, se, qse, lo, hi in zip(quasi.items, quasi.estimates, quasi.std_errors,
+                                          quasi.quasi_se, lower, upper):
+        se_txt = f"{'NA':>8s}" if np.isnan(se) else f"{se:8.4f}"
+        click.echo(f"{name:>12s} {est:10.4f} {se_txt} {qse:9.4f} {lo:9.4f} {hi:9.4f}")
     lo, hi = quasi.simple_error_range
     click.echo(f"worst relative SE errors, simple contrasts: "
                f"{100 * lo:.2f}% to {100 * hi:.2f}%")

@@ -90,6 +90,10 @@ def vcov(fit: ModelFit, ref=0) -> np.ndarray:
     return a @ padded @ a.T
 
 
+def _json_number(v) -> float | None:
+    return None if np.isnan(v) else float(v)    # an undefined value is null
+
+
 @dataclass(frozen=True)
 class Summary:
     """Per-parameter estimates, standard errors and two-sided Z tests."""
@@ -117,13 +121,10 @@ class Summary:
                 w.writerow([name, *(format(v, ".17g") for v in (est, se, z, p))])
 
     def to_dict(self) -> dict:
-        def clean(v):
-            return None if np.isnan(v) else float(v)
-
         return {
             "parameters": [
-                {"parameter": name, "estimate": float(est), "se": clean(se),
-                 "z": clean(z), "p": clean(p)}
+                {"parameter": name, "estimate": float(est), "se": _json_number(se),
+                 "z": _json_number(z), "p": _json_number(p)}
                 for name, est, se, z, p in self.rows()],
             "deviance": self.deviance,
             "aic": self.aic,
@@ -137,10 +138,12 @@ class Summary:
             fh.write("\n")
 
 
-def undefined_se(se: np.ndarray) -> np.ndarray:
-    """Where a standard error is undefined: zero, up to rounding against
-    the largest one, so the rule does not depend on the weights' scale."""
-    return se <= 1e-14 * np.nanmax(se, initial=0.0)
+def _standard_errors(v: np.ndarray) -> np.ndarray:
+    """Standard errors from the covariance ``v``, NaN where undefined: zero,
+    up to rounding against the largest, so the rule is free of weight scale."""
+    se = np.sqrt(np.maximum(np.diag(v), 0.0))
+    se[se <= 1e-14 * np.nanmax(se, initial=0.0)] = np.nan
+    return se
 
 
 def summarize(fit: ModelFit, ref=0) -> Summary:
@@ -152,9 +155,7 @@ def summarize(fit: ModelFit, ref=0) -> Summary:
     a NaN standard error.
     """
     names, estimates = fit.coef(ref=ref)
-    v = vcov(fit, ref=ref)
-    se = np.sqrt(np.maximum(np.diag(v), 0.0))
-    se[undefined_se(se)] = np.nan
+    se = _standard_errors(vcov(fit, ref=ref))
     with np.errstate(invalid="ignore", divide="ignore"):
         z = estimates / se
     p = 2.0 * ndtr(-np.abs(z))
@@ -194,7 +195,7 @@ class QuasiVariances:
     sqrt((q_i+q_j)/v_ij) - 1 over simple contrasts; ``all_error_range``
     bounds the same quantity over every possible contrast via the extreme
     generalized eigenvalues of the quasi-variance approximation against
-    the true contrast covariance.
+    the true contrast covariance.  A single-item reference's SE is NaN.
     """
 
     items: tuple[str, ...]
@@ -225,7 +226,7 @@ class QuasiVariances:
         return {
             "items": [
                 {"item": name, "estimate": float(self.estimates[i]),
-                 "se": float(self.std_errors[i]),
+                 "se": _json_number(self.std_errors[i]),
                  "quasi_se": float(self.quasi_se[i]),
                  "quasi_var": float(self.quasi_var[i]),
                  "lower": float(lower[i]), "upper": float(upper[i])}
@@ -327,11 +328,10 @@ def quasi_variances(fit: ModelFit, ref=0) -> QuasiVariances:
     all_range = _all_contrast_error_range(cov_items, q)
 
     names, estimates = fit.coef(ref=ref)
-    se = np.sqrt(np.maximum(np.diag(v)[:j], 0.0))
     return QuasiVariances(
         items=tuple(names[:j]),
         estimates=estimates[:j],
-        std_errors=se,
+        std_errors=_standard_errors(v)[:j],
         quasi_se=np.sqrt(q),
         quasi_var=q,
         simple_error_range=simple_range,

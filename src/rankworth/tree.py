@@ -429,7 +429,7 @@ def _split_node(events: EventSet, rows, covariate: Covariate, config: TreeConfig
         unconverged += int((~converged[:b] & ok).sum() + (~converged[b:] & ok).sum())
     best = None
     for split, obj, ok in zip(splits, objective, admissible):
-        if ok and (best is None or obj > best[1] + 1e-12):
+        if ok and (best is None or obj > best[1] + 1e-12 * abs(best[1])):
             best = (split, float(obj))
     return best, int((~admissible).sum()), unconverged
 

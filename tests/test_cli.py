@@ -262,6 +262,15 @@ class TestStartup:
                         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
         assert out.strip() == "[]"
 
+    def test_import_leaves_graph_and_linalg_unloaded(self):
+        # strong components come from a numpy closure: csgraph, and the
+        # scipy.sparse.linalg and scipy.linalg it would import, stay out
+        out = run_fresh("import sys, rankworth, rankworth.cli\n"
+                        "heavy = ('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg')\n"
+                        "print(sorted(m for m in sys.modules\n"
+                        "             if any(m == h or m.startswith(h + '.') for h in heavy)))\n")
+        assert out.strip() == "[]"
+
 
 class TestVersion:
     def test_version_option(self, runner):

@@ -245,6 +245,27 @@ class TestQuasiVariances:
         assert qv.all_error_range[0] <= qv.simple_error_range[0] + 1e-12
         assert qv.all_error_range[1] >= qv.simple_error_range[1] - 1e-12
 
+    def test_reference_se_is_exported_as_undefined(self, pudding_fit7, tmp_path):
+        # the reference item's SE is NaN, null in JSON, as in the summary
+        import json
+
+        qv = rw.quasi_variances(pudding_fit7, ref=0)
+        s = rw.summarize(pudding_fit7, ref=0)
+        assert np.isnan(qv.std_errors[0]) and np.isfinite(qv.std_errors[1:]).all()
+        np.testing.assert_array_equal(qv.std_errors, s.std_errors[:6])
+        qv.write_json(tmp_path / "qv.json")
+        s.write_json(tmp_path / "summary.json")
+        q_se = [row["se"] for row in json.loads((tmp_path / "qv.json").read_text())["items"]]
+        s_se = [row["se"] for row in
+                json.loads((tmp_path / "summary.json").read_text())["parameters"][:6]]
+        assert q_se[0] is None and q_se == s_se
+        qv.write_csv(tmp_path / "qv.csv")
+        s.write_csv(tmp_path / "summary.csv")
+        q_csv = [line.split(",")[2] for line in (tmp_path / "qv.csv").read_text().splitlines()]
+        s_csv = [line.split(",")[2] for line in
+                 (tmp_path / "summary.csv").read_text().splitlines()]
+        assert q_csv[1:] == s_csv[1:7]
+
     def test_needs_three_items(self):
         t = rw.from_rank_matrix([[1, 2], [2, 1]], ["a", "b"])
         m = quiet_fit(t, npseudo=0, maxit=50)

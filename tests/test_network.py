@@ -69,13 +69,31 @@ class TestConnectivity:
         assert rep.no == 1
         assert rep.strongly_connected
 
-    def test_matches_reachability_oracle(self):
-        # i and j share a component iff each reaches the other; ids follow
-        # each component's smallest item index
+    @staticmethod
+    def graphs():
+        """The empty graph, random graphs of 2-8 and of up to 64 items, and
+        directed paths and cycles (shuffled), whose closures need the most
+        squarings."""
+        yield np.zeros((0, 0))
         rng = np.random.default_rng(30)
         for _ in range(100):
             n = int(rng.integers(2, 9))
-            counts = (rng.random((n, n)) < rng.uniform(0.05, 0.4)) * 1.0
+            yield (rng.random((n, n)) < rng.uniform(0.05, 0.4)) * 1.0
+        for n in (16, 33, 64):
+            for density in (0.5 / n, 1.0 / n, 2.0 / n, 0.1):
+                yield (rng.random((n, n)) < density) * 1.0
+            for closed in (False, True):
+                order = rng.permutation(n)
+                counts = np.zeros((n, n))
+                counts[order[:-1], order[1:]] = 1.0
+                counts[order[-1], order[0]] = float(closed)
+                yield counts
+
+    def test_matches_reachability_oracle(self):
+        # i and j share a component iff each reaches the other; ids follow
+        # each component's smallest item index
+        for counts in self.graphs():
+            n = len(counts)
             np.fill_diagonal(counts, 0.0)
             reach = np.eye(n, dtype=bool) | (counts > 0)
             for k in range(n):
@@ -100,9 +118,11 @@ class TestConnectivity:
         assert scaled.no == 1
 
     def test_tiny_two_cycle_is_one_component(self):
-        counts = np.array([[0.0, 1e-8], [1e-8, 0.0]])
-        rep = rw.connectivity(rw.AdjacencyMatrix(("a", "b"), counts))
-        assert rep.no == 1
+        # an edge is read from the sign of its weight, whatever its size
+        for weight in (1e-8, 1e-300):
+            counts = np.array([[0.0, weight], [weight, 0.0]])
+            rep = rw.connectivity(rw.AdjacencyMatrix(("a", "b"), counts))
+            assert rep.no == 1
 
     def test_two_clusters(self, disconnected):
         rep = rw.connectivity(rw.adjacency(disconnected))

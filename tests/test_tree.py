@@ -210,6 +210,24 @@ class TestBestSplit:
         left, right = child_sums(np.arange(2))
         assert left[:, 0].tolist() == [2.0, 4.0] and right[:, 0].tolist() == [4.0, 2.0]
 
+    def test_split_choice_free_of_weight_scale(self):
+        # 40 groups of 3 strict rankings, a weak effect of x, npseudo = 0:
+        # candidates whose objectives differ by less than an absolute 1e-12
+        # at weights x 1e-12 must still be told apart
+        rng = np.random.default_rng(2)
+        x = rng.uniform(0, 1, 40)
+        weak = np.array([0.0, 0.3, 0.0, -0.3])
+        grouped = make_grouped(rng, 40, lambda g: weak if x[g] <= 0.5 else -weak,
+                               rankings_per_group=3)
+        table = grouped.rankings
+        cov = rw.Covariate("x", tuple(x), "numeric")
+        config = rw.TreeConfig(minsize=5, fit_config=rw.FitConfig(npseudo=0))
+        split, _ = quiet(rw.best_split, grouped, cov, config)
+        tiny = rw.group_rankings(table.with_weights(table.weights * 1e-12),
+                                 grouped.group_index)
+        tiny_split, _ = quiet(rw.best_split, tiny, cov, config)
+        assert tiny_split.threshold == split.threshold
+
     def test_no_admissible_split(self):
         rng = np.random.default_rng(109)
         grouped = make_grouped(rng, 4, lambda g: np.zeros(4))
