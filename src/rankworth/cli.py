@@ -13,14 +13,13 @@ from __future__ import annotations
 import functools
 import sys
 import warnings
-from io import StringIO
 
 import click
 import numpy as np
 
 from . import __version__, inference, io, tree as tree_mod
 from .errors import DataError, ModelError
-from .fit import FitConfig, fit as fit_model
+from .fit import _METHODS, FitConfig, fit as fit_model
 from .network import adjacency, connectivity as connectivity_of
 from .rankings import RankingsTable, from_orderings, group_rankings
 
@@ -53,30 +52,30 @@ def _handle_errors(func):
 
 
 def _soc_table(source) -> RankingsTable:
-    """A strict-orders file (path or text stream), items sorted by name."""
+    """A strict-orders file (path or stream), items sorted by name."""
     orderings, freqs = io.read_preflib_soc(source)
     used = (orderings.codes > 0).any(axis=0)
     items = sorted(name for name, u in zip(orderings.names, used) if u)
     return from_orderings(orderings, items, weights=freqs)
 
 
-def _load_table(path: str, weights_col: str | None = None) -> RankingsTable:
-    if path.endswith(".soc"):
-        return _soc_table(path)
-    return io.read_rank_csv(path, weights_col)
+def _load_table(source, weights_col: str | None = None, name: str | None = None) -> RankingsTable:
+    """Strict orders if ``name`` (by default the path) ends in .soc, else a rankings CSV."""
+    if (name or source).endswith(".soc"):
+        return _soc_table(source)
+    return io.read_rank_csv(source, weights_col)
 
 
 def _fit_options(func):
     for dec in [
-        click.option("--npseudo", default=0.5, show_default=True,
+        click.option("--npseudo", default=FitConfig.npseudo, show_default=True,
                      help="Weight of each pseudo-comparison with the ghost item; 0 = plain MLE."),
-        click.option("--method", default="iterative_scaling", show_default=True,
-                     type=click.Choice(["iterative_scaling", "quasi_newton",
-                                        "limited_memory_quasi_newton"]),
+        click.option("--method", default=FitConfig.method, show_default=True,
+                     type=click.Choice(_METHODS),
                      help="Iterative scaling, or Newton's method on the exact "
                           "information (both quasi-Newton names select it)."),
-        click.option("--maxit", default=500, show_default=True),
-        click.option("--tol", default=1e-6, show_default=True),
+        click.option("--maxit", default=FitConfig.maxit, show_default=True),
+        click.option("--tol", default=FitConfig.tol, show_default=True),
     ][::-1]:
         func = dec(func)
     return func
@@ -113,10 +112,11 @@ def main():
 def convert(source, output, url):
     """Convert a strict-orders file or rankings CSV to canonical CSV."""
     if url:
+        import urllib.parse
         import urllib.request
 
         with urllib.request.urlopen(source) as resp:
-            table = _soc_table(StringIO(resp.read().decode("utf-8")))
+            table = _load_table(resp, name=urllib.parse.urlparse(source).path)
     else:
         table = _load_table(source)
     io.write_rank_csv(table, output)
@@ -243,9 +243,9 @@ def connectivity(data, adjacency_csv, weights_col):
 @click.argument("data")
 @click.option("--covariates", "covariates_path", required=True,
               help="CSV with one row per group; a 'group' column is optional.")
-@click.option("--minsize", default=20, show_default=True)
-@click.option("--maxdepth", default=10, show_default=True)
-@click.option("--alpha", default=0.05, show_default=True)
+@click.option("--minsize", default=tree_mod.TreeConfig.minsize, show_default=True)
+@click.option("--maxdepth", default=tree_mod.TreeConfig.maxdepth, show_default=True)
+@click.option("--alpha", default=tree_mod.TreeConfig.alpha, show_default=True)
 @_fit_options
 @click.option("--json-out", default=None, help="Write the tree as JSON.")
 @click.option("--plot-csv", default=None, help="Write per-leaf worths as CSV.")

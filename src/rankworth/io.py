@@ -54,10 +54,11 @@ class SocFile:
 
 
 def _read_text(source) -> str:
-    """The text of a path or a text stream."""
+    """The text of a path or a text stream, or of a byte stream read as UTF-8."""
     try:
         if hasattr(source, "read"):
-            return source.read()
+            text = source.read()
+            return text.decode("utf-8") if isinstance(text, bytes) else text
         with open(source, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
@@ -159,7 +160,7 @@ def parse_soc(text: str) -> SocFile:
 
 
 def read_preflib_soc(source) -> tuple[OrderingsTable, np.ndarray]:
-    """Read a strict-orders file from a path or text stream: the orderings
+    """Read a strict-orders file from a path or stream: the orderings
     (one item name per slot) and their frequencies, to use as weights.
 
     Raises:

@@ -97,11 +97,11 @@ class EventSet:
         weight_scale: mean weight of the rows that give events (1 if none).
         win_counts: (J, J) weighted counts of the real items' wins,
             ``win_counts[i, j]`` the weight of the rows ranking item i
-            strictly above item j (the win/loss network of
-            :func:`rankworth.network.adjacency`).
+            strictly above item j, summed in row order (the win/loss
+            network of :func:`rankworth.network.adjacency`).
         group_event_weights / group_obs / group_win_counts: with
             ``group_index``, the same per group, as a sparse (G, E), a dense
-            (G, P) and a sparse (G, J * J) matrix.
+            (G, P) and a sparse (G, J * J) matrix (the last is None without).
     """
 
     def __init__(self, table: RankingsTable, max_tie_order: int,
@@ -181,7 +181,7 @@ class EventSet:
         self.obs_data = np.bincount(obs_idx, weights=obs_val, minlength=n_params)
         self.w_pseudo = np.zeros(self.n_events)
         self.w_pseudo[n_data_events:] = 2.0 * npseudo
-        self.win_counts = st.win_counts()
+        group, n_groups = None, 1
         if group_index is not None:
             n_groups = int(group_index.max())
             group = group_index[st.row] - 1
@@ -190,10 +190,7 @@ class EventSet:
             self.group_obs = np.bincount(
                 group[obs_stage] * n_params + obs_idx, weights=obs_val,
                 minlength=n_groups * n_params).reshape(n_groups, n_params)
-            win_stage, win = (np.concatenate(a) for a in zip(*st.wins()))
-            self.group_win_counts = sp.csr_matrix(
-                (st.weight[win_stage], (group[win_stage], win)),
-                shape=(n_groups, n_real * n_real))
+        self.win_counts, self.group_win_counts = st.win_counts(group, n_groups)
         return members
 
     # -- weights ------------------------------------------------------

@@ -77,7 +77,7 @@ class ConnectivityReport:
 def adjacency(table: RankingsTable) -> AdjacencyMatrix:
     """Accumulate weighted "ranked higher than" counts over non-NA rows,
     in row order, from the table's choice stages."""
-    return AdjacencyMatrix(table.items, _stages(table).win_counts())
+    return AdjacencyMatrix(table.items, _stages(table).win_counts()[0])
 
 
 def connectivity(adj: AdjacencyMatrix) -> ConnectivityReport:

@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError
 
@@ -165,10 +166,6 @@ class RankingsTable:
         return f"RankingsTable({head}{tail})"
 
 
-# wins are enumerated a block of stages at a time, to bound memory
-_WIN_BLOCK = 1 << 15
-
-
 class Stages(NamedTuple):
     """The choice stages of a table's usable rows (not NA, positive weight,
     two or more ranked items), in row order and best first: each stage
@@ -181,32 +178,26 @@ class Stages(NamedTuple):
     alts: np.ndarray
     chosen: np.ndarray
 
-    def wins(self):
-        """Yield every win as (stage, winner * J + loser), in stage order,
-        about ``_WIN_BLOCK`` wins or fewer at a time (one block at least):
-        at each stage every chosen item beats every remaining item not
-        chosen."""
+    def win_counts(self, group=None, n_groups: int = 1):
+        """(J, J) weighted counts of item i ranked strictly above item j (at
+        each stage every chosen item beats every remaining item not chosen),
+        and with ``group`` (each stage's group, from 0) the same per group as
+        a sparse (n_groups, J * J) matrix, else None.  Built item by item, so
+        only one item's stages are held at a time."""
         j = self.alts.shape[1]
-        lost = self.alts & ~self.chosen
-        n_lost = lost.sum(axis=1)
-        step = max(1, _WIN_BLOCK // int((self.chosen.sum(axis=1) * n_lost).max(initial=1)))
-        for lo in range(0, max(len(self.row), 1), step):
-            c_stage, winner = np.nonzero(self.chosen[lo:lo + step])
-            loser = np.nonzero(lost[lo:lo + step])[1]
-            reps = n_lost[lo + c_stage]
-            # each win's loser: its stage's first loser, plus its place among them
-            at = np.repeat(np.cumsum(n_lost[lo:lo + step])[c_stage] - np.cumsum(reps), reps)
-            yield (lo + np.repeat(c_stage, reps),
-                   np.repeat(winner, reps) * j + loser[at + np.arange(at.size)])
-
-    def win_counts(self) -> np.ndarray:
-        """(J, J) weighted counts of item i ranked strictly above item j,
-        each summed in row order (``np.add.at`` adds in order)."""
-        j = self.alts.shape[1]
-        counts = np.zeros(j * j)
-        for stage, pair in self.wins():
-            np.add.at(counts, pair, self.weight[stage])
-        return counts.reshape(j, j)
+        counts, by_group = np.zeros((j, j)), []
+        for i in range(j):
+            at = np.flatnonzero(self.chosen[:, i])
+            wins = (self.alts[at] & ~self.chosen[at]) * self.weight[at, None]
+            # a reduction down the rows adds them one by one, in stage order:
+            # the sums of the row-by-row compile (TestOnePassCompile pins them)
+            counts[i] = np.add.reduce(wins, axis=0)
+            if group is not None:
+                # a sparse product that adds each group's rows in stage order too
+                pick = sp.csr_matrix((np.ones(at.size), (group[at], np.arange(at.size))),
+                                     shape=(n_groups, at.size))
+                by_group.append(pick @ sp.csr_matrix(wins))
+        return counts, sp.hstack(by_group, format="csr") if group is not None else None
 
 
 def _stages(table: RankingsTable) -> Stages:

@@ -272,7 +272,12 @@ def score_contributions(grouped: GroupedRankings, fitted: ModelFit) -> np.ndarra
 
     Rows sum to the total data score, which is zero at an unpenalized
     maximum likelihood fit.
+
+    Raises:
+        DataError: ``fitted`` is a fit of other items than the table's.
     """
+    if fitted.items != grouped.rankings.items:
+        raise DataError("the fit is of other items than the rankings")
     events = EventSet(grouped.rankings, fitted.max_tie_order, fitted.npseudo, grouped.group_index)
     return _node_scores(events, fitted, slice(None))
 
@@ -385,12 +390,15 @@ def best_split(grouped: GroupedRankings, covariate: Covariate,
     satisfies the size constraint and is admissible.  If ``tally`` is a
     dict it receives the counts of ``inadmissible`` candidates and of
     ``unconverged`` child fits among the admissible ones.
+
+    Raises:
+        DataError: a covariate not of one value per group, or no usable rankings.
     """
     table = grouped.rankings
     fit_config = config.fit_config
     if len(covariate.values) != grouped.n_groups:
         raise DataError("covariate length must match the number of groups")
-    events = EventSet(table, table.max_tie_order(), fit_config.npseudo, grouped.group_index)
+    events = _compile(table, fit_config, grouped.group_index)
     found, inadmissible, unconverged = _split_node(
         events, slice(None), covariate, config, _iterative_scaling(events, fit_config)[0])
     if tally is not None:

@@ -177,6 +177,24 @@ class TestConvertCommand:
         assert "wrote 24 rankings of 4 items" in result.output
         assert by_url.read_bytes() == by_path.read_bytes()
 
+    def test_csv_url_equals_path(self, runner, tmp_path):
+        # the reader is picked by the URL's suffix, as for a path
+        source, by_path, by_url = (tmp_path / n for n in ("in.csv", "path.csv", "url.csv"))
+        rw.write_rank_csv(load_pudding(), source)
+        assert runner.invoke(main, ["convert", str(source), "-o", str(by_path)]).exit_code == 0
+        result = runner.invoke(main, ["convert", source.as_uri(), "--url", "-o", str(by_url)])
+        assert result.exit_code == 0, result.output
+        assert by_url.read_bytes() == by_path.read_bytes()
+
+    def test_url_not_utf8_is_input_error(self, runner, tmp_path):
+        source = tmp_path / "latin1.soc"
+        source.write_bytes(Path(netflix_shape_soc_path()).read_bytes().replace(
+            b"Movie One", b"Caf\xe9 One"))
+        result = runner.invoke(main, ["convert", source.as_uri(), "--url",
+                                      "-o", str(tmp_path / "out.csv")])
+        assert result.exit_code == 2
+        assert "not valid UTF-8" in result.output
+
 
 class TestTreeCommand:
     def test_grouped_tree(self, runner, tmp_path):

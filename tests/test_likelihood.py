@@ -425,9 +425,9 @@ class TestOnePassCompile:
         assert (rw.connectivity(rw.AdjacencyMatrix(items, summed))
                 == rw.connectivity(rw.AdjacencyMatrix(items, direct)))
 
-    def test_wins_do_not_depend_on_the_block_size(self, monkeypatch):
-        # wins are enumerated a block of stages at a time; each count
-        # continues its sum from block to block, in row order
+    def test_wins_do_not_depend_on_the_block_size(self):
+        # wins are counted item by item: each table count is summed over its
+        # item's stages in row order, and each group count over its group's
         rng = np.random.default_rng(5)
         m = np.array([rng.permutation(8) + 1 for _ in range(300)])
         m[::3, :3] = 1
@@ -435,13 +435,11 @@ class TestOnePassCompile:
         gidx = np.arange(300) % 7 + 1
         d = t.max_tie_order()
         want = compile_oracle(t, d, gidx)["wins"]
-        for block in (1, 7, 1000):
-            monkeypatch.setattr(rw.rankings, "_WIN_BLOCK", block)
-            assert np.array_equal(rw.adjacency(t).counts, want)
-            ev = EventSet(t, d, group_index=gidx)
-            assert np.array_equal(ev.win_counts, want)
-            assert np.allclose(ev.group_win_counts.sum(axis=0).reshape(8, 8), want,
-                               rtol=1e-13, atol=0)
+        assert np.array_equal(rw.adjacency(t).counts, want)
+        ev = EventSet(t, d, group_index=gidx)
+        assert np.array_equal(ev.win_counts, want)
+        assert np.allclose(ev.group_win_counts.sum(axis=0).reshape(8, 8), want,
+                           rtol=1e-13, atol=0)
 
     def test_first_row_above_the_limit_is_named(self):
         t = rw.from_rank_matrix([[1, 2, 3], [1, 1, 2], [2, 1, 1], [1, 1, 1]], list("abc"))

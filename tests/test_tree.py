@@ -72,6 +72,18 @@ class TestScoreContributions:
         hi = scores[x > 0.5, 0].mean()
         assert lo > 0 > hi
 
+    def test_fit_of_other_items_refused(self, planted):
+        grouped, _, _ = planted
+        table = grouped.rankings
+        renamed = rw.RankingsTable(("w", "x", "y", "z"), table.ranks, table.weights,
+                                   table.na_mask)
+        wider = rw.from_rank_matrix(np.c_[table.ranks, np.zeros(table.n_rows, int)],
+                                    table.items + ("extra",))
+        for other in (renamed, wider):
+            pooled = quiet(rw.fit, other)
+            with pytest.raises(DataError, match="other items"):
+                rw.score_contributions(grouped, pooled)
+
 
 class TestSupLMPValue:
     def test_matches_tabulated_critical_value(self):
@@ -227,6 +239,18 @@ class TestBestSplit:
                                  grouped.group_index)
         tiny_split, _ = quiet(rw.best_split, tiny, cov, config)
         assert tiny_split.threshold == split.threshold
+
+    def test_no_usable_rankings_refused(self):
+        rng = np.random.default_rng(110)
+        grouped = make_grouped(rng, 4, lambda g: np.zeros(4))
+        table = grouped.rankings
+        cov = rw.Covariate("x", (1.0, 2.0, 3.0, 4.0), "numeric")
+        config = rw.TreeConfig(minsize=1, maxdepth=2)
+        for empty in (table.with_weights(np.zeros(table.n_rows)),
+                      rw.RankingsTable(table.items, table.ranks, table.weights,
+                                       np.ones(table.n_rows, dtype=bool))):
+            with pytest.raises(DataError, match="no usable rankings"):
+                rw.best_split(rw.group_rankings(empty, grouped.group_index), cov, config)
 
     def test_no_admissible_split(self):
         rng = np.random.default_rng(109)
