@@ -8,7 +8,8 @@ componentwise Steffensen extrapolation is applied to pairs of scaling
 sweeps, with a log-likelihood guard so ascent is never lost.  The Newton
 method maximizes the same log-likelihood with one log-worth pinned, using
 the exact gradient observed - expected and the exact information, and
-stops by the same convergence rule.
+stops by the same convergence rule.  Both evaluate the likelihood once per
+iterate, one call giving its expectations and log-likelihood.
 
 Fitting at ``npseudo = 0`` is maximum likelihood and requires a strongly
 connected win/loss network.  With ``npseudo > 0`` (default 0.5), each
@@ -248,9 +249,12 @@ def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
     Sweeps run in cycles of three per iteration; once a column's
     convergence measure is inside the activation threshold, its cycle ends
     with a log-likelihood-guarded Steffensen extrapolation of its three
-    sweeps.  A column stops once it meets ``tol``, at ``maxit``, or when
-    its scaling update does not exist (it is then marked failed and keeps
-    its last iterate).
+    sweeps.  A cycle evaluates ``expected`` at the second and third sweeps'
+    inputs, and with the log-likelihood at the third's result and at the
+    extrapolation (3 or 4 calls); the winner's expectation serves the
+    discrepancy and the next first sweep.  A column stops once it meets
+    ``tol``, at ``maxit``, or when its scaling update does not exist (it is
+    then marked failed and keeps its last iterate).
 
     Returns theta (P, C) and, per column, converged, iterations and failed.
     """
@@ -258,36 +262,41 @@ def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
     n_cols = w.shape[1]
     start = _start_theta(events, config) if theta0 is None else np.asarray(theta0, float)
     theta = _normalize_worth(np.repeat(start[:, None], n_cols, axis=1), j)
-    disc = _discrepancy(obs, events.expected(theta, w), events.weight_scale)
+    exp = events.expected(theta, w)
+    disc = _discrepancy(obs, exp, events.weight_scale)
     converged = disc <= config.tol
     failed = np.zeros(n_cols, dtype=bool)
     iterations = np.zeros(n_cols, dtype=np.int64)
     active = np.flatnonzero(~converged)
+    exp = exp[:, active]
     for it in range(1, config.maxit + 1):
         if active.size == 0:
             break
         th, wa, oa = theta[:, active], w[:, active], obs[:, active]
-        t1, f1 = _scale(th, oa, events.expected(th, wa), j)
+        t1, f1 = _scale(th, oa, exp, j)
         t2, f2 = _scale(t1, oa, events.expected(t1, wa), j)
         t3, f3 = _scale(t2, oa, events.expected(t2, wa), j)
         new = t3
+        exp, ll = events.expected(t3, wa, oa)
         acc = np.flatnonzero(disc[active] < config.steffensen_threshold)
         if acc.size:
             prop = _normalize_worth(
                 steffensen_accelerate(t1[:, acc], t2[:, acc], t3[:, acc]), j)
             prop[j:] = np.maximum(prop[j:], _LOG_FLOOR)
-            wacc, oacc = wa[:, acc], oa[:, acc]
-            better = (events.loglik(prop, wacc, oacc)
-                      >= events.loglik(t3[:, acc], wacc, oacc))
+            exp_prop, ll_prop = events.expected(prop, wa[:, acc], oa[:, acc])
+            better = ll_prop >= ll[acc]
             new[:, acc[better]] = prop[:, better]
+            exp[:, acc[better]] = exp_prop[:, better]
+        # a failed column stops, so its expectation (not at th) goes unused
         bad = f1 | f2 | f3
         new[:, bad] = th[:, bad]
         theta[:, active] = new
         iterations[active] = it
         failed[active] = bad
-        disc[active] = _discrepancy(oa, events.expected(new, wa), events.weight_scale)
+        disc[active] = _discrepancy(oa, exp, events.weight_scale)
         converged[active] = (disc[active] <= config.tol) & ~bad
-        active = active[~converged[active] & ~bad]
+        keep = ~converged[active] & ~bad
+        active, exp = active[keep], exp[:, keep]
     return theta, converged, iterations, failed
 
 
@@ -318,9 +327,8 @@ def _newton(events: EventSet, config: FitConfig) -> tuple[np.ndarray, bool, int]
     free = _free_parameters(events)
     theta = _start_theta(events, config)
     theta[j:][~free[j:]] = _LOG_FLOOR
-    ll = events.loglik(theta, w, obs)
+    exp, ll = events.expected(theta, w, obs)
     for it in range(config.maxit + 1):
-        exp = events.expected(theta, w)
         if _discrepancy(obs, exp, events.weight_scale) <= config.tol:
             return _normalize_worth(theta, j), True, it
         if it == config.maxit:
@@ -334,13 +342,13 @@ def _newton(events: EventSet, config: FitConfig) -> tuple[np.ndarray, bool, int]
         for _ in range(_MAX_HALVINGS):
             trial = theta.copy()
             trial[free] += step
-            ll_trial = events.loglik(trial, w, obs)
+            exp_trial, ll_trial = events.expected(trial, w, obs)
             if ll_trial >= ll - _LOGLIK_ROUNDING * abs(ll):
                 break
             step = 0.5 * step
         else:
             break
-        theta, ll = trial, ll_trial
+        theta, exp, ll = trial, exp_trial, ll_trial
     return _normalize_worth(theta, j), False, it
 
 

@@ -232,13 +232,13 @@ class EventSet:
         shifted = theta[self.slot_item]
         top = np.maximum.reduceat(shifted, self._ev_first)
         shifted -= np.repeat(top, self.ev_sizes, axis=0)
-        pad = (np.concatenate([shifted, np.full((1,) + theta.shape[1:], -np.inf)])[self._pad]
+        ext = (np.concatenate([shifted, np.full((1,) + theta.shape[1:], -np.inf)])
                if self.max_tie_order > 1 else None)
         first = np.exp(shifted, out=shifted)
         logs, loos = [np.log(np.add.reduceat(first, self._ev_first))], []
         with np.errstate(divide="ignore", invalid="ignore"):  # ESPs may underflow to 0
             for k in range(2, self.max_tie_order + 1):
-                z = np.exp(pad / k)
+                z = np.exp(ext / k)[self._pad]
                 pre = _esp_prefixes(z, k)
                 logs.append(theta[self.n_items + k - 2] + np.log(pre[-1, k]))
                 loos.append((k, z, _leave_one_out(z, k - 1, pre) if credits else None))
@@ -265,17 +265,20 @@ class EventSet:
         """Log-likelihood: a float, or one value per column."""
         if theta.ndim == 2 and theta.shape[1] == 1:
             return np.array([self.loglik(theta[:, 0], weights[:, 0], obs[:, 0])])
-        ll = _total(obs * theta) - _total(weights * self._log_denominators(theta))
-        return float(ll) if theta.ndim == 1 else ll
+        return _loglik(theta, weights, obs, self._log_denominators(theta))
 
-    def expected(self, theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Expected sufficient statistics under event ``weights``."""
+    def expected(self, theta: np.ndarray, weights: np.ndarray, obs: np.ndarray | None = None):
+        """Expected sufficient statistics under event ``weights``; with
+        ``obs``, the pair (expected, :meth:`loglik`) from one evaluation of
+        the normalizers, each exactly as the separate calls give it."""
         if theta.ndim == 2 and theta.shape[1] == 1:
-            return self.expected(theta[:, 0], weights[:, 0])[:, None]
-        _, credit, ties, _ = self._log_denominators(theta, credits=True)
-        return np.concatenate([
+            out = self.expected(theta[:, 0], weights[:, 0], None if obs is None else obs[:, 0])
+            return out[:, None] if obs is None else (out[0][:, None], np.array([out[1]]))
+        logden, credit, ties, _ = self._log_denominators(theta, credits=True)
+        exp = np.concatenate([
             self._item_sums @ (np.repeat(weights, self.ev_sizes, axis=0) * credit),
             _total(weights[:, None] * ties)])
+        return exp if obs is None else (exp, _loglik(theta, weights, obs, logden))
 
     def gradient(self, theta: np.ndarray, weights: np.ndarray, obs: np.ndarray) -> np.ndarray:
         return obs - self.expected(theta, weights)
@@ -318,12 +321,20 @@ def _total(values: np.ndarray):
     return np.add.reduceat(values, [0])[0] if len(values) else np.zeros(values.shape[1:])
 
 
+def _loglik(theta: np.ndarray, weights: np.ndarray, obs: np.ndarray, logden: np.ndarray):
+    """Log-likelihood from the log normalizers ``logden``: a float, or one value per column."""
+    ll = _total(obs * theta) - _total(weights * logden)
+    return float(ll) if theta.ndim == 1 else ll
+
+
 def _esp_prefixes(z: np.ndarray, order: int) -> np.ndarray:
     """ESPs of orders 0..``order`` of z[:j], j = 0..len(z): (len(z) + 1, order + 1, ...)."""
-    out = np.zeros((z.shape[0] + 1, order + 1) + z.shape[1:])
+    out = np.empty((z.shape[0] + 1, order + 1) + z.shape[1:])
     out[:, 0] = 1.0
+    out[0, 1:] = 0.0
     for j in range(z.shape[0]):
-        out[j + 1, 1:] = out[j, 1:] + z[j] * out[j, :-1]
+        np.multiply(out[j, :-1], z[j], out=out[j + 1, 1:])
+        out[j + 1, 1:] += out[j, 1:]
     return out
 
 
@@ -332,5 +343,8 @@ def _leave_one_out(z: np.ndarray, order: int, pre: np.ndarray | None = None) -> 
     ESPs ``pre`` (of at least that order) and the suffix ESPs."""
     pre = _esp_prefixes(z, order) if pre is None else pre
     suf = _esp_prefixes(z[::-1], order)[::-1]
-    return sum(pre[:-1, q] * suf[1:, order - q] for q in range(order + 1))
+    out = pre[:-1, 0] * suf[1:, order]
+    for q in range(1, order + 1):
+        out += pre[:-1, q] * suf[1:, order - q]
+    return out
 

@@ -322,6 +322,23 @@ def engine_row_logliks(table, params):
     return ev.group_obs @ theta - ev.group_event_weights @ ev._log_denominators(theta)
 
 
+def esp_prefixes_oracle(z, order):
+    """Prefix ESPs (len(z) + 1, order + 1, ...) by the allocating recursion
+    the in-place kernel replaced."""
+    out = np.zeros((z.shape[0] + 1, order + 1) + z.shape[1:])
+    out[:, 0] = 1.0
+    for j in range(z.shape[0]):
+        out[j + 1, 1:] = out[j, 1:] + z[j] * out[j, :-1]
+    return out
+
+
+def leave_one_out_oracle(z, order):
+    """Leave-one-out ESPs of ``order`` as a ``sum`` over prefix-suffix products."""
+    pre = esp_prefixes_oracle(z, order)
+    suf = esp_prefixes_oracle(z[::-1], order)[::-1]
+    return sum(pre[:-1, q] * suf[1:, order - q] for q in range(order + 1))
+
+
 # ---------------------------------------------------------------------------
 # reader oracles: the row-by-row readers that the array readers replaced
 

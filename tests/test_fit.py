@@ -2,6 +2,7 @@
 agreement, and the documented invariants."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import rankworth as rw
 from rankworth.errors import DataError, ModelError
-from rankworth.fit import _scale
+from rankworth.fit import _scale, _scaling_solve
 from rankworth.likelihood import EventSet
 from tests.conftest import brute_force_loglik, random_table
 
@@ -256,6 +257,59 @@ class TestNewton:
         assert not m.converged
         assert m.iterations == 0
         assert np.all(np.isfinite(m.params.theta()))
+
+
+class TestColumnSolve:
+    def test_columns_equal_their_one_column_solves(self):
+        # one column per row re-weighting; column 2 gives item i0 no wins or
+        # tie credit, so its update does not exist at npseudo = 0
+        rng = np.random.default_rng(5)
+        t = random_table(rng, n_items=5, n_rows=40, max_tie=3, partial=True)
+        ev = EventSet(t, 3, group_index=np.arange(1, t.n_rows + 1))
+        v = rng.uniform(0.2, 3.0, (t.n_rows, 6))
+        v[ev.group_obs[:, 0] > 0, 2] = 0.0
+        w, obs = ev.group_event_weights.T @ v, ev.group_obs.T @ v
+        config = rw.FitConfig(npseudo=0, tol=1e-10)
+        theta, converged, iterations, failed = _scaling_solve(ev, w, obs, config)
+        assert failed.tolist() == [False, False, True, False, False, False]
+        assert converged[~failed].all() and len(set(iterations[~failed])) > 1
+        for c in range(6):
+            alone = _scaling_solve(ev, w[:, [c]], obs[:, [c]], config)
+            assert np.array_equal(theta[:, c], alone[0][:, 0])
+            assert (converged[c], iterations[c], failed[c]) == tuple(a[0] for a in alone[1:])
+
+
+def _counting(fn, name, calls):
+    """``fn`` counting its outermost calls (the 1-column forms recurse) in ``calls[name]``."""
+    depth = [0]
+
+    def wrapper(*args, **kwargs):
+        calls[name] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+    return wrapper
+
+
+class TestEvaluationsPerIterate:
+    @pytest.mark.parametrize("method", ["iterative_scaling", "quasi_newton"])
+    def test_one_evaluation_per_iterate(self, pudding, method, monkeypatch):
+        # three sweeps, the guarded iterate and the extrapolation per cycle;
+        # loglik only for the final data log-likelihood
+        tied = random_table(np.random.default_rng(8), n_items=6, n_rows=40,
+                            max_tie=4, partial=True)
+        assert tied.max_tie_order() == 4
+        calls = Counter()
+        for name in ("expected", "loglik"):
+            monkeypatch.setattr(EventSet, name, _counting(getattr(EventSet, name), name, calls))
+        for table, npseudo in [(pudding, 0.0), (tied, 0.5)]:
+            calls.clear()
+            m = quiet_fit(table, npseudo=npseudo, method=method)
+            assert m.converged
+            assert calls["loglik"] == 1
+            assert calls["expected"] <= 1 + 4 * m.iterations
 
 
 class TestUnobservedTieOrder:

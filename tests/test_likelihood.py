@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import rankworth as rw
 from rankworth.errors import DataError
-from rankworth.likelihood import EventSet
+from rankworth.likelihood import EventSet, _esp_prefixes, _leave_one_out
 from tests.conftest import (
     admissible_subsets,
     brute_force_denominator,
@@ -24,7 +24,9 @@ from tests.conftest import (
     engine_loglik,
     engine_row_logliks,
     enumerate_tied_rankings,
+    esp_prefixes_oracle,
     event_alternatives,
+    leave_one_out_oracle,
     random_params,
     random_table,
 )
@@ -568,3 +570,39 @@ class TestEngineOracle:
             col = thetas[:, c].copy(), weights[:, c].copy()
             assert lls[c] == ev.loglik(*col, obs[:, c].copy())
             assert np.array_equal(exps[:, c], ev.expected(*col))
+
+
+class TestFusedEvaluation:
+    """``expected(theta, w, obs)`` is exactly ``expected`` and ``loglik``, and
+    the in-place ESP kernels are exactly the allocating recursions."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("npseudo", [0.0, 0.5])
+    def test_fused_equals_separate_calls(self, seed, npseudo):
+        rng = np.random.default_rng(seed)
+        ev = EventSet(random_tied_table(rng, 7, 4), 4, npseudo=npseudo)
+        theta = random_params(rng, ev.n_items, 4).theta()
+        thetas = theta[:, None] + rng.normal(0, 0.5, (theta.size, 3))
+        weights = ev.w_total[:, None] * rng.uniform(0, 2, (ev.n_events, 3))
+        obs = ev.obs_total[:, None] * rng.uniform(0, 2, (ev.n_params, 3))
+        for args in [(theta, ev.w_total, ev.obs_total),
+                     (thetas[:, :1], weights[:, :1], obs[:, :1]),
+                     (thetas, weights, obs)]:
+            exp, ll = ev.expected(*args)
+            assert np.array_equal(exp, ev.expected(*args[:2]))
+            alone = ev.loglik(*args)
+            assert type(ll) is type(alone) and np.array_equal(ll, alone)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("trailing", [(6,), (6, 3)])
+    def test_in_place_kernels_equal_oracle(self, order, trailing):
+        rng = np.random.default_rng(order)
+        x = rng.normal(0, 2, (5,) + trailing)
+        x[rng.random(x.shape) < 0.2] = -np.inf     # zeros among the worths
+        x[3:, 1] = x[1:, 4] = -np.inf              # padded columns
+        z = np.exp(x / order)
+        pre = _esp_prefixes(z, order)
+        assert np.array_equal(pre, esp_prefixes_oracle(z, order))
+        loo = leave_one_out_oracle(z, order)
+        assert np.array_equal(_leave_one_out(z, order), loo)
+        assert np.array_equal(_leave_one_out(z, order, _esp_prefixes(z, order + 1)), loo)
