@@ -12,7 +12,6 @@ from .fit import (
     ModelFit,
     convergence_check,
     fit,
-    steffensen_accelerate,
 )
 from .inference import (
     ModelMetrics,
@@ -70,7 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError", "ModelError",
-    "FitConfig", "ModelFit", "fit", "steffensen_accelerate", "convergence_check",
+    "FitConfig", "ModelFit", "fit", "convergence_check",
     "ModelMetrics", "QuasiVariances", "Summary",
     "comparison_intervals", "model_metrics", "quasi_variances", "summarize", "vcov",
     "EventSet", "Parameters",

@@ -1,15 +1,16 @@
-"""Model fitting by iterative scaling (with Steffensen acceleration) or
-a damped Newton method.
+"""Model fitting by iterative scaling (with squared extrapolation) or a
+damped Newton method.
 
 Iterative scaling multiplies each worth and tie parameter by the ratio of
 its observed to expected sufficient statistic; convergence is declared
-when the two agree in relative terms.  Once the iterates are close, a
-componentwise Steffensen extrapolation is applied to pairs of scaling
-sweeps, with a log-likelihood guard so ascent is never lost.  The Newton
-method maximizes the same log-likelihood with one log-worth pinned, using
-the exact gradient observed - expected and the exact information, and
-stops by the same convergence rule.  Both evaluate the likelihood once per
-iterate, one call giving its expectations and log-likelihood.
+when the two agree in relative terms.  Once the iterates are close, each
+cycle of sweeps extrapolates along its first two, by the squared
+Steffensen-type step of SQUAREM (Varadhan & Roland 2008, Scand. J.
+Statist. 35), with a log-likelihood guard so ascent is never lost.  The
+Newton method maximizes the same log-likelihood with one log-worth pinned,
+using the exact gradient observed - expected and the exact information,
+and stops by the same convergence rule.  Both evaluate the likelihood once
+per iterate, one call giving its expectations and log-likelihood.
 
 Fitting at ``npseudo = 0`` is maximum likelihood and requires a strongly
 connected win/loss network.  With ``npseudo > 0`` (default 0.5), each
@@ -31,7 +32,7 @@ from .likelihood import EventSet, Parameters
 from .network import AdjacencyMatrix, connectivity
 from .rankings import RankingsTable
 
-__all__ = ["FitConfig", "ModelFit", "fit", "steffensen_accelerate", "convergence_check"]
+__all__ = ["FitConfig", "ModelFit", "fit", "convergence_check"]
 
 _METHODS = ("iterative_scaling", "quasi_newton", "limited_memory_quasi_newton")
 
@@ -64,8 +65,9 @@ class FitConfig:
             reaching it warns and returns the current iterate.
         tol: relative tolerance on observed vs expected sufficient stats
             (see :func:`convergence_check`).
-        steffensen_threshold: acceleration starts once the convergence
-            measure falls below this value.
+        steffensen_threshold: a column's scaling cycles extrapolate (SQUAREM,
+            Varadhan & Roland 2008) once its convergence measure falls below
+            this value; 0 disables extrapolation.
         tie_start: starting value for every tie prevalence parameter.
 
     Ties of any order fit: the model's tie order is the table's largest tie.
@@ -206,18 +208,6 @@ def _discrepancy(obs: np.ndarray, exp: np.ndarray, scale: float):
     return np.max(np.abs(obs - exp) / denom, axis=0)
 
 
-def steffensen_accelerate(x_t: np.ndarray, x_t1: np.ndarray, x_t2: np.ndarray) -> np.ndarray:
-    """Componentwise Steffensen extrapolation from three consecutive
-    iterates; components with negligible second difference keep the plain
-    update."""
-    d1 = x_t1 - x_t
-    d2 = x_t2 - 2.0 * x_t1 + x_t
-    out = x_t2.copy()
-    safe = np.abs(d2) > 1e-14 * np.maximum(1.0, np.abs(x_t2))
-    out[safe] = x_t[safe] - d1[safe] ** 2 / d2[safe]
-    return out
-
-
 def _scale(theta: np.ndarray, obs: np.ndarray, exp: np.ndarray,
            n_items: int) -> tuple[np.ndarray, np.ndarray]:
     """One scaling sweep of theta (P,) or of each column of theta (P, C).
@@ -246,15 +236,20 @@ def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
     event weights ``w`` (E, C) and observed statistics ``obs`` (P, C).
 
     Every column starts from ``theta0`` (P,), or from the uniform start.
-    Sweeps run in cycles of three per iteration; once a column's
-    convergence measure is inside the activation threshold, its cycle ends
-    with a log-likelihood-guarded Steffensen extrapolation of its three
-    sweeps.  A cycle evaluates ``expected`` at the second and third sweeps'
-    inputs, and with the log-likelihood at the third's result and at the
-    extrapolation (3 or 4 calls); the winner's expectation serves the
-    discrepancy and the next first sweep.  A column stops once it meets
-    ``tol``, at ``maxit``, or when its scaling update does not exist (it is
-    then marked failed and keeps its last iterate).
+    A cycle makes two sweeps, t1 = F(theta) and t2 = F(t1), then one
+    stabilising sweep.  A column whose convergence measure is inside
+    ``steffensen_threshold`` takes the stabilising sweep from the squared
+    extrapolation theta - 2 a r + a^2 v of SQUAREM (Varadhan & Roland
+    2008, step S3), with r = t1 - theta, v = t2 - 2 t1 + theta and
+    a = min(-|r| / |v|, -1), kept if its log-likelihood is not below
+    theta's and otherwise replaced by t2; other columns sweep from t2.  A
+    cycle evaluates ``expected`` at t1, at the extrapolation (or t2) with
+    the log-likelihood, and at the stabilised iterate with the
+    log-likelihood, which serves the discrepancy and the next cycle's first
+    sweep; a rejected extrapolation costs its column one more evaluation,
+    at t2.  A column stops once it meets ``tol``, at ``maxit``, or when its
+    scaling update does not exist (it is then marked failed and keeps its
+    last iterate).
 
     Returns theta (P, C) and, per column, converged, iterations and failed.
     """
@@ -262,31 +257,36 @@ def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
     n_cols = w.shape[1]
     start = _start_theta(events, config) if theta0 is None else np.asarray(theta0, float)
     theta = _normalize_worth(np.repeat(start[:, None], n_cols, axis=1), j)
-    exp = events.expected(theta, w)
+    exp, ll = events.expected(theta, w, obs)
     disc = _discrepancy(obs, exp, events.weight_scale)
     converged = disc <= config.tol
     failed = np.zeros(n_cols, dtype=bool)
     iterations = np.zeros(n_cols, dtype=np.int64)
     active = np.flatnonzero(~converged)
-    exp = exp[:, active]
+    exp, ll = exp[:, active], ll[active]
     for it in range(1, config.maxit + 1):
         if active.size == 0:
             break
         th, wa, oa = theta[:, active], w[:, active], obs[:, active]
         t1, f1 = _scale(th, oa, exp, j)
         t2, f2 = _scale(t1, oa, events.expected(t1, wa), j)
-        t3, f3 = _scale(t2, oa, events.expected(t2, wa), j)
-        new = t3
-        exp, ll = events.expected(t3, wa, oa)
-        acc = np.flatnonzero(disc[active] < config.steffensen_threshold)
+        base = t2.copy()
+        acc = np.flatnonzero((disc[active] < config.steffensen_threshold) & ~(f1 | f2))
         if acc.size:
-            prop = _normalize_worth(
-                steffensen_accelerate(t1[:, acc], t2[:, acc], t3[:, acc]), j)
+            r, v = t1[:, acc] - th[:, acc], t2[:, acc] - 2.0 * t1[:, acc] + th[:, acc]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alpha = np.minimum(-np.linalg.norm(r, axis=0) / np.linalg.norm(v, axis=0), -1.0)
+            prop = _normalize_worth(th[:, acc] - 2.0 * alpha * r + alpha ** 2 * v, j)
             prop[j:] = np.maximum(prop[j:], _LOG_FLOOR)
-            exp_prop, ll_prop = events.expected(prop, wa[:, acc], oa[:, acc])
-            better = ll_prop >= ll[acc]
-            new[:, acc[better]] = prop[:, better]
-            exp[:, acc[better]] = exp_prop[:, better]
+            base[:, acc] = prop
+        exp, ll_base = events.expected(base, wa, oa)
+        # a proposal below theta's log-likelihood (or not finite) falls back to t2
+        back = acc[~(ll_base[acc] >= ll[acc])]
+        if back.size:
+            base[:, back] = t2[:, back]
+            exp[:, back] = events.expected(t2[:, back], wa[:, back])
+        new, f3 = _scale(base, oa, exp, j)
+        exp, ll = events.expected(new, wa, oa)
         # a failed column stops, so its expectation (not at th) goes unused
         bad = f1 | f2 | f3
         new[:, bad] = th[:, bad]
@@ -296,7 +296,7 @@ def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
         disc[active] = _discrepancy(oa, exp, events.weight_scale)
         converged[active] = (disc[active] <= config.tol) & ~bad
         keep = ~converged[active] & ~bad
-        active, exp = active[keep], exp[:, keep]
+        active, exp, ll = active[keep], exp[:, keep], ll[keep]
     return theta, converged, iterations, failed
 
 

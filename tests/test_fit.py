@@ -1,4 +1,4 @@
-"""Fitting: scaling updates, Steffensen, convergence, cross-method
+"""Fitting: scaling updates, SQUAREM extrapolation, convergence, cross-method
 agreement, and the documented invariants."""
 
 import warnings
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import rankworth as rw
 from rankworth.errors import DataError, ModelError
-from rankworth.fit import _scale, _scaling_solve
+from rankworth.fit import _free_parameters, _scale, _scaling_solve
 from rankworth.likelihood import EventSet
 from tests.conftest import brute_force_loglik, random_table
 
@@ -51,18 +51,6 @@ class TestIterativeScalingStep:
 
 
 class TestSteffensen:
-    def test_geometric_sequence_extrapolates_to_limit(self):
-        c, r = np.array([2.0, -1.0]), 0.6
-        x0 = c + r ** 0 * np.array([1.0, 2.0])
-        x1 = c + r ** 1 * np.array([1.0, 2.0])
-        x2 = c + r ** 2 * np.array([1.0, 2.0])
-        out = rw.steffensen_accelerate(x0, x1, x2)
-        assert np.allclose(out, c, atol=1e-12)
-
-    def test_fixed_point_returns_current(self):
-        x = np.array([1.0, 2.0])
-        assert np.allclose(rw.steffensen_accelerate(x, x, x), x)
-
     def test_accelerated_and_plain_agree_on_pudding(self, pudding):
         fast = quiet_fit(pudding, npseudo=0, tol=1e-10)
         # threshold 0 disables extrapolation entirely
@@ -133,6 +121,17 @@ class TestFit:
             m = rw.fit(pudding, npseudo=0, maxit=1)
         assert not m.converged
         assert m.iterations == 1
+
+    def test_tiny_pseudo_is_not_reported_converged(self):
+        # a beats b beats c in every row: at npseudo = 1e-12 the optimum lies
+        # far out along directions whose information is of the order of
+        # npseudo, where the stop rule cannot judge nearness.  Iterative
+        # scaling must not claim convergence there.
+        t = rw.from_rank_matrix([[1, 2, 3]] * 3, list("abc"))
+        with pytest.warns(UserWarning, match="Iterations have not converged"):
+            m = rw.fit(t, npseudo=1e-12)
+        assert not m.converged
+        assert m.iterations == m.config.maxit
 
     def test_worth_sums_to_one(self, pudding):
         m = quiet_fit(pudding, npseudo=0)
@@ -293,23 +292,62 @@ def _counting(fn, name, calls):
     return wrapper
 
 
+def _count_evaluations(monkeypatch):
+    """Count outermost ``expected`` and ``loglik`` calls in the returned
+    Counter, and list the log-likelihood of each fused ``expected`` call."""
+    calls, fused = Counter(), []
+    monkeypatch.setattr(EventSet, "loglik", _counting(EventSet.loglik, "loglik", calls))
+    counted = _counting(EventSet.expected, "expected", calls)
+
+    def expected(self, theta, weights, obs=None):
+        outer = calls["expected"]
+        out = counted(self, theta, weights, obs)
+        if obs is not None and calls["expected"] > outer:
+            fused.append(float(np.min(out[1])))
+        return out
+    monkeypatch.setattr(EventSet, "expected", expected)
+    return calls, fused
+
+
+def _falls(fused):
+    """Fused evaluations whose log-likelihood is below the highest before them."""
+    return sum(ll < max(fused[:k]) for k, ll in enumerate(fused) if k)
+
+
 class TestEvaluationsPerIterate:
     @pytest.mark.parametrize("method", ["iterative_scaling", "quasi_newton"])
     def test_one_evaluation_per_iterate(self, pudding, method, monkeypatch):
-        # three sweeps, the guarded iterate and the extrapolation per cycle;
-        # loglik only for the final data log-likelihood
+        # a scaling cycle evaluates at its first sweep, at the extrapolation
+        # (or the second sweep) and at the stabilised iterate; a Newton step
+        # evaluates its trial.  A rejected extrapolation costs one more, at
+        # the second sweep, and a halved trial one more, at the half step:
+        # each follows a fused evaluation that falls.  loglik only for the
+        # final data log-likelihood
         tied = random_table(np.random.default_rng(8), n_items=6, n_rows=40,
                             max_tie=4, partial=True)
         assert tied.max_tie_order() == 4
-        calls = Counter()
-        for name in ("expected", "loglik"):
-            monkeypatch.setattr(EventSet, name, _counting(getattr(EventSet, name), name, calls))
+        calls, fused = _count_evaluations(monkeypatch)
         for table, npseudo in [(pudding, 0.0), (tied, 0.5)]:
             calls.clear()
+            fused.clear()
             m = quiet_fit(table, npseudo=npseudo, method=method)
             assert m.converged
             assert calls["loglik"] == 1
-            assert calls["expected"] <= 1 + 4 * m.iterations
+            per_iterate = 3 if method == "iterative_scaling" else 1
+            assert calls["expected"] <= 1 + per_iterate * m.iterations + _falls(fused)
+
+    def test_rejected_extrapolation_falls_back_to_second_sweep(self, monkeypatch):
+        # extrapolating from the first cycle on, the fourth cycle's proposal
+        # on this table is 0.035 below theta's log-likelihood
+        t = random_table(np.random.default_rng(289), n_items=6, n_rows=34,
+                         max_tie=3, partial=True)
+        newton = quiet_fit(t, npseudo=0, method="quasi_newton", tol=1e-10)
+        calls, fused = _count_evaluations(monkeypatch)
+        m = quiet_fit(t, npseudo=0, steffensen_threshold=1e9)
+        assert m.converged
+        assert _falls(fused) == 1
+        assert calls["expected"] == 1 + 3 * m.iterations + 1
+        assert np.allclose(m.coef()[1], newton.coef()[1], rtol=0, atol=1e-5)
 
 
 class TestUnobservedTieOrder:
@@ -561,3 +599,35 @@ class TestInvarianceProperties:
         expected = np.concatenate([base[perm], base[t.n_items:]])
         assert np.allclose(_theta(permuted, npseudo), expected,
                            rtol=0, atol=100 * TOL)
+
+
+class TestMethodAgreementProperty:
+    @_examples
+    @given(seed=st.integers(0, 2**32 - 1), npseudo=st.sampled_from([0.0, 0.5]))
+    def test_converged_fits_agree_within_tol_bound(self, seed, npseudo):
+        # Both fits stop with |obs_i - exp_i| <= tol * max(scale, |obs_i|),
+        # so the gradient of the fitted objective (pseudo terms included) on
+        # the free parameters has norm at most eps.  The objective is concave;
+        # with lam the least eigenvalue of its information there, each fit
+        # lies within eps / lam of the optimum and within eps^2 / (2 lam) of
+        # its objective.  lam is taken at Newton's estimate and halved as a
+        # margin for its change between the fits; the objectives also carry
+        # their rounding.
+        t = _table(seed, npseudo)
+        fits = []
+        for method in ("iterative_scaling", "quasi_newton"):
+            try:
+                fits.append(quiet_fit(t, npseudo=npseudo, tol=1e-8, method=method))
+            except ModelError:
+                return
+        assume(all(m.converged for m in fits))
+        ev, newton = fits[1].events, fits[1].params.theta()
+        free = _free_parameters(ev)
+        eps = 1e-8 * np.linalg.norm(np.maximum(ev.weight_scale, np.abs(ev.obs_total))[free])
+        lam = 0.5 * np.linalg.eigvalsh(ev.information(newton, ev.w_total)[np.ix_(free, free)])[0]
+        assert lam > 0
+        objective = [ev.loglik(m.params.theta(), ev.w_total, ev.obs_total) for m in fits]
+        assert abs(objective[0] - objective[1]) <= (eps ** 2 / (2 * lam)
+                                                    + 1e-12 * abs(objective[1]))
+        contrasts = [m.coef()[1] for m in fits]
+        assert np.max(np.abs(contrasts[0] - contrasts[1])) <= 2 * eps / lam
