@@ -45,8 +45,8 @@ NO_UPDATE_MESSAGE = ("an item has no wins or tie credit, or a positive observed 
                      "count has zero expectation; fit requires a strongly "
                      "connected network or npseudo > 0")
 
-# a Newton step is halved at most 50 times; it may lower the log-likelihood
-# by its rounding (relative 1e-12), which near the optimum exceeds any gain
+# a Newton step is halved at most 50 times; it, or an extrapolation, may lower
+# the log-likelihood by its rounding (relative 1e-12), which near the optimum exceeds any gain
 _MAX_HALVINGS = 50
 _LOGLIK_ROUNDING = 1e-12
 
@@ -241,8 +241,8 @@ def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
     ``steffensen_threshold`` takes the stabilising sweep from the squared
     extrapolation theta - 2 a r + a^2 v of SQUAREM (Varadhan & Roland
     2008, step S3), with r = t1 - theta, v = t2 - 2 t1 + theta and
-    a = min(-|r| / |v|, -1), kept if its log-likelihood is not below
-    theta's and otherwise replaced by t2; other columns sweep from t2.  A
+    a = min(-|r| / |v|, -1), kept unless its log-likelihood is below theta's
+    beyond rounding, else replaced by t2; other columns sweep from t2.  A
     cycle evaluates ``expected`` at t1, at the extrapolation (or t2) with
     the log-likelihood, and at the stabilised iterate with the
     log-likelihood, which serves the discrepancy and the next cycle's first
@@ -280,8 +280,8 @@ def _scaling_solve(events: EventSet, w: np.ndarray, obs: np.ndarray,
             prop[j:] = np.maximum(prop[j:], _LOG_FLOOR)
             base[:, acc] = prop
         exp, ll_base = events.expected(base, wa, oa)
-        # a proposal below theta's log-likelihood (or not finite) falls back to t2
-        back = acc[~(ll_base[acc] >= ll[acc])]
+        # a proposal below theta's log-likelihood beyond rounding (or not finite) falls back to t2
+        back = acc[~(ll_base[acc] >= ll[acc] - _LOGLIK_ROUNDING * np.abs(ll[acc]))]
         if back.size:
             base[:, back] = t2[:, back]
             exp[:, back] = events.expected(t2[:, back], wa[:, back])

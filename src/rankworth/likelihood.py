@@ -79,6 +79,8 @@ class EventSet:
     table's stages.  Their items are laid out flat, one slot per item:
     order 1 of a normalizer is a log-sum-exp over slots, and for D > 1 the
     tie orders are ESPs over a padded (max |A|, E) index into the slots.
+    A slot's credit leaves it out (prefix ESPs, one running suffix row); the
+    evaluation with credits is kept, reused only for a theta equal bit for bit.
     A tree views each node as a re-weighting by groups (:meth:`for_groups`).
 
     With ``npseudo > 0`` a ghost item is parameter J, after the J items.
@@ -124,13 +126,14 @@ class EventSet:
                     for m in range(width + 1)]
         self.noutcomes = np.array(outcomes, float)[self.ev_sizes]
         self.n_subsets = int(self.noutcomes.sum())
-        self.n_cells = n + (max_tie_order > 1) * 2 * (width + 1) * (max_tie_order + 1) * n_events
+        self.n_cells = n + (max_tie_order > 1) * (width + 3) * (max_tie_order + 1) * n_events
         if max_tie_order > 1:
             # the slot of each event's i-th item (slot n pads), and each slot's cell
             pos = np.arange(n) - self._ev_first[self.slot_event]
             self._pad = np.full((width, n_events), n)
             self._pad[pos, self.slot_event] = np.arange(n)
             self._cell = pos * n_events + self.slot_event
+        self._memo = (None, None)  # (theta's shape and bytes, its evaluation)
 
     def _read_stages(self, table: RankingsTable, npseudo: float, group_index) -> np.ndarray:
         """Set the event weights, observed statistics and win counts from the
@@ -242,6 +245,7 @@ class EventSet:
                 pre = _esp_prefixes(z, k)
                 logs.append(theta[self.n_items + k - 2] + np.log(pre[-1, k]))
                 loos.append((k, z, _leave_one_out(z, k - 1, pre) if credits else None))
+                del pre  # freed before the next order's table is built
             rel = np.logaddexp.reduce(logs) if loos else logs[0]
         if not credits:
             return top + rel
@@ -252,7 +256,16 @@ class EventSet:
             share = (scale / k * z * loo).reshape((-1,) + theta.shape[1:])[self._cell]
             orders.append((k, share, z, scale))
         ties = np.exp(np.stack(logs, axis=1)[:, 1:] - rel[:, None])
-        return top + rel, sum(share for _, share, *_ in orders), ties, orders
+        return top + rel, sum((share for _, share, *_ in orders[1:]), first), ties, orders
+
+    def _evaluation(self, theta: np.ndarray, credits: bool = True):
+        """:meth:`_log_denominators` at theta; with credits, kept for a theta equal bit for bit."""
+        if self._memo[0] != (key := (theta.shape, theta.tobytes())):
+            if not credits:
+                return self._log_denominators(theta)
+            # kept until the new one is built: freed first, malloc trims and re-faults it
+            self._memo = (key, self._log_denominators(theta, credits=True))
+        return self._memo[1] if credits else self._memo[1][0]
 
     def _means(self, credit: np.ndarray, ties: np.ndarray) -> np.ndarray:
         """(E, P) expected statistics of each event of weight one."""
@@ -265,7 +278,7 @@ class EventSet:
         """Log-likelihood: a float, or one value per column."""
         if theta.ndim == 2 and theta.shape[1] == 1:
             return np.array([self.loglik(theta[:, 0], weights[:, 0], obs[:, 0])])
-        return _loglik(theta, weights, obs, self._log_denominators(theta))
+        return _loglik(theta, weights, obs, self._evaluation(theta, credits=False))
 
     def expected(self, theta: np.ndarray, weights: np.ndarray, obs: np.ndarray | None = None):
         """Expected sufficient statistics under event ``weights``; with
@@ -274,7 +287,7 @@ class EventSet:
         if theta.ndim == 2 and theta.shape[1] == 1:
             out = self.expected(theta[:, 0], weights[:, 0], None if obs is None else obs[:, 0])
             return out[:, None] if obs is None else (out[0][:, None], np.array([out[1]]))
-        logden, credit, ties, _ = self._log_denominators(theta, credits=True)
+        logden, credit, ties, _ = self._evaluation(theta)
         exp = np.concatenate([
             self._item_sums @ (np.repeat(weights, self.ev_sizes, axis=0) * credit),
             _total(weights[:, None] * ties)])
@@ -284,28 +297,39 @@ class EventSet:
         return obs - self.expected(theta, weights)
 
     def information(self, theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Observed information (= negative Hessian) of the log-likelihood
-        in the full theta parameterization; a sum of per-event outcome
-        covariances, hence symmetric positive semidefinite."""
-        j = self.n_items
-        _, credit, ties, orders = self._log_denominators(theta, credits=True)
-        w_slot = np.repeat(weights, self.ev_sizes, axis=0)
-        # second moments of item credits and tie counts, by order of outcome
+        """Observed information (= negative Hessian) of the log-likelihood at
+        theta (1-D): a sum of per-event outcome covariances, symmetric positive
+        semidefinite.  At D > 1 item pairs run over each event's slot pairs a < b,
+        one offset b - a per bincount, ESPs without a and b downdated from a's."""
+        j, n = self.n_items, self.slot_item.size
+        _, credit, ties, orders = self._evaluation(theta)
+        ws = np.repeat(weights, self.ev_sizes)
         square = sum(share / k for k, share, *_ in orders)
-        second = np.diag(np.concatenate([self._item_sums @ (w_slot * square),
-                                         _total(weights[:, None] * ties)]))
+        if self.max_tie_order == 1:
+            means = self._means(credit, ties)
+            return np.diag(self._item_sums @ (ws * square)) - means.T @ (weights[:, None] * means)
+        info = np.diag(np.concatenate([self._item_sums @ (ws * (square - credit * credit)),
+                                       _total(weights[:, None] * ties)]))
+        info[j:, j:] -= ties.T @ (weights[:, None] * ties)
+        per_slot = []  # per order k >= 2: delta_k / k^2 over the normalizer, z, L[1..k-2]
         for k, share, z, scale in orders[1:]:
-            second[j + k - 2, :j] = second[:j, j + k - 2] = self._item_sums @ (w_slot * share)
-            two = np.ones(z.shape[:1] + z.shape)  # leave-two-out ESPs; row a: z[a] set to 0
-            for a in range(len(z) if k > 2 else 0):
-                two[a] = _leave_one_out(np.where(np.arange(len(z))[:, None] == a, 0.0, z), k - 2)
-            pair = weights * scale / k ** 2 * z[:, None] * z * two
-            pair[np.diag_indices(len(z))] = 0.0
-            items = np.append(self.slot_item, 0)[self._pad]
-            second[:j, :j] += np.bincount((items[:, None] * j + items).ravel(), pair.ravel(),
-                                          minlength=j * j).reshape(j, j)
-        means = self._means(credit, ties)
-        return second - means.T @ (weights[:, None] * means)
+            info[:j, j + k - 2] = info[j + k - 2, :j] = self._item_sums @ (ws * (
+                share - credit * np.repeat(ties[:, k - 2], self.ev_sizes)))
+            loo = [z] + [_leave_one_out(z, r) for r in range(1, k - 1)]
+            per_slot.append([np.repeat(scale / k ** 2, self.ev_sizes)]
+                            + [x.ravel()[self._cell] for x in loo])
+        after = np.repeat(self._ev_first + self.ev_sizes, self.ev_sizes) - 1 - np.arange(n)
+        cross = np.zeros(j * j)
+        for step in range(1, len(self._pad)):
+            a = np.flatnonzero(after >= step)
+            b = a + step
+            pair = credit[a] * credit[b]
+            for scale, z, *loo in per_slot:
+                pair -= scale[a] * z[a] * z[b] * _leave_two_out([x[a] for x in loo], z[b])
+            cross += np.bincount(self.slot_item[a] * j + self.slot_item[b], ws[a] * pair,
+                                 minlength=j * j)
+        info[:j, :j] -= cross.reshape(j, j) + cross.reshape(j, j).T
+        return info
 
     def group_scores(self, theta: np.ndarray) -> np.ndarray:
         """Per-group (observed - expected) statistic vectors at ``theta``.
@@ -313,7 +337,7 @@ class EventSet:
         Requires the structure to have been built with ``group_index``.
         """
         return self.group_obs - self.group_event_weights @ self._means(
-            *self._log_denominators(theta, credits=True)[1:3])
+            *self._evaluation(theta)[1:3])
 
 
 def _total(values: np.ndarray):
@@ -340,11 +364,22 @@ def _esp_prefixes(z: np.ndarray, order: int) -> np.ndarray:
 
 def _leave_one_out(z: np.ndarray, order: int, pre: np.ndarray | None = None) -> np.ndarray:
     """ESP of ``order`` of z without entry i, for every i, from the prefix
-    ESPs ``pre`` (of at least that order) and the suffix ESPs."""
+    ESPs ``pre`` (of at least that order) and one running row of suffix ESPs."""
     pre = _esp_prefixes(z, order) if pre is None else pre
-    suf = _esp_prefixes(z[::-1], order)[::-1]
-    out = pre[:-1, 0] * suf[1:, order]
-    for q in range(1, order + 1):
-        out += pre[:-1, q] * suf[1:, order - q]
+    out, suf = np.empty(z.shape), np.zeros((order + 1,) + z.shape[1:])
+    suf[0] = 1.0
+    for i in range(len(z) - 1, -1, -1):  # suf: the ESPs of z[i + 1:]
+        out[i] = pre[i, 0] * suf[order]
+        for q in range(1, order + 1):
+            out[i] += pre[i, q] * suf[order - q]
+        suf[1:] += z[i] * suf[:-1]
     return out
 
+
+def _leave_two_out(loo: list, z_b: np.ndarray):
+    """ESP of order ``len(loo)`` of z without entries a and b, from the ESPs ``loo`` of orders
+    1, 2, ... of z without a: T_r = L[r] - z_b T_(r-1), exact to rounding of max(z) ** r."""
+    two = 1.0
+    for row in loo:
+        two = row - z_b * two
+    return two

@@ -122,6 +122,22 @@ def random_table(rng, n_items=4, n_rows=30, max_tie=2, partial=False):
             np.array(rows), [f"i{k}" for k in range(n_items)])
 
 
+def random_tied_table(rng, n_items, max_tie_order):
+    """A few partial rows of ``n_items`` items with ties of order up to
+    ``max_tie_order`` and positive weights."""
+    ranks = np.zeros((int(rng.integers(1, 6)), n_items), dtype=np.int64)
+    for row in ranks:
+        items = rng.permutation(n_items)[:int(rng.integers(2, n_items + 1))]
+        pos, level = 0, 1
+        while pos < items.size:
+            k = int(rng.integers(1, max_tie_order + 1))
+            row[items[pos:pos + k]] = level
+            pos, level = pos + k, level + 1
+    return rw.RankingsTable(tuple(f"i{k}" for k in range(n_items)), ranks,
+                            rng.uniform(0.5, 2.0, ranks.shape[0]),
+                            np.zeros(ranks.shape[0], dtype=bool))
+
+
 def random_params(rng, n_items, max_tie_order):
     lw = rng.normal(0, 1, n_items)
     lw -= lw.max()

@@ -1,6 +1,7 @@
 """Fitting: scaling updates, SQUAREM extrapolation, convergence, cross-method
 agreement, and the documented invariants."""
 
+import importlib
 import warnings
 from collections import Counter
 
@@ -13,7 +14,7 @@ import rankworth as rw
 from rankworth.errors import DataError, ModelError
 from rankworth.fit import _free_parameters, _scale, _scaling_solve
 from rankworth.likelihood import EventSet
-from tests.conftest import brute_force_loglik, random_table
+from tests.conftest import brute_force_loglik, random_table, random_tied_table
 
 
 def quiet_fit(table, **kw):
@@ -348,6 +349,41 @@ class TestEvaluationsPerIterate:
         assert _falls(fused) == 1
         assert calls["expected"] == 1 + 3 * m.iterations + 1
         assert np.allclose(m.coef()[1], newton.coef()[1], rtol=0, atol=1e-5)
+
+    def test_rounding_only_fall_keeps_the_extrapolation(self, monkeypatch):
+        # at tol 1e-8 a proposal on this table is 3.6e-15 below theta's
+        # log-likelihood of -23.1: rounding, which the guard allows
+        t = random_tied_table(np.random.default_rng(2), 5, 3)
+        assert t.max_tie_order() == 2
+        calls, _ = _count_evaluations(monkeypatch)
+        m = quiet_fit(t, tol=1e-8)
+        kept = calls["expected"]
+        calls.clear()
+        monkeypatch.setattr(importlib.import_module("rankworth.fit"), "_LOGLIK_ROUNDING", 0.0)
+        strict = quiet_fit(t, tol=1e-8)
+        assert m.converged and strict.converged and m.iterations == strict.iterations
+        assert kept == calls["expected"] - 1
+        assert np.allclose(m.params.theta(), strict.params.theta(), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("method", ["iterative_scaling", "quasi_newton"])
+    def test_no_normalizers_beyond_expected_calls(self, pudding, method, monkeypatch):
+        # the last evaluation is kept: a Newton step's information and, after
+        # iterative scaling, the fit's data log-likelihood and the inference
+        # reuse it.  Newton returns its estimate shifted to worths summing to
+        # one, where the log-likelihood and the information evaluate once more
+        tied = random_table(np.random.default_rng(8), n_items=6, n_rows=40,
+                            max_tie=4, partial=True)
+        calls, _ = _count_evaluations(monkeypatch)
+        monkeypatch.setattr(EventSet, "_log_denominators", _counting(
+            EventSet._log_denominators, "normalizers", calls))
+        for table, npseudo in [(pudding, 0.0), (tied, 0.5)]:
+            calls.clear()
+            m = quiet_fit(table, npseudo=npseudo, method=method)
+            rw.summarize(m)
+            rw.quasi_variances(m)
+            newton = method != "iterative_scaling"
+            assert calls["normalizers"] == calls["expected"] + 2 * newton
+            assert calls["loglik"] == 1
 
 
 class TestUnobservedTieOrder:

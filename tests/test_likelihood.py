@@ -2,6 +2,7 @@
 normalizers, ranking probabilities and sufficient statistics, checked
 against closed forms and the brute-force oracles in ``conftest``."""
 
+import itertools
 import math
 import warnings
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import rankworth as rw
 from rankworth.errors import DataError
-from rankworth.likelihood import EventSet, _esp_prefixes, _leave_one_out
+from rankworth.likelihood import EventSet, _esp_prefixes, _leave_one_out, _leave_two_out
 from tests.conftest import (
     admissible_subsets,
     brute_force_denominator,
@@ -29,6 +30,7 @@ from tests.conftest import (
     leave_one_out_oracle,
     random_params,
     random_table,
+    random_tied_table,
 )
 
 
@@ -515,22 +517,6 @@ class TestPseudoComparisons:
             EventSet(abcd, 1, npseudo=-0.5)
 
 
-def random_tied_table(rng, n_items, max_tie_order):
-    """A few partial rows of ``n_items`` items with ties of order up to
-    ``max_tie_order`` and positive weights."""
-    ranks = np.zeros((int(rng.integers(1, 6)), n_items), dtype=np.int64)
-    for row in ranks:
-        items = rng.permutation(n_items)[:int(rng.integers(2, n_items + 1))]
-        pos, level = 0, 1
-        while pos < items.size:
-            k = int(rng.integers(1, max_tie_order + 1))
-            row[items[pos:pos + k]] = level
-            pos, level = pos + k, level + 1
-    return rw.RankingsTable(tuple(f"i{k}" for k in range(n_items)), ranks,
-                            rng.uniform(0.5, 2.0, ranks.shape[0]),
-                            np.zeros(ranks.shape[0], dtype=bool))
-
-
 class TestEngineOracle:
     """Loglik, expected statistics and information of the ESP engine
     against the brute-force subset enumerator, ties of order up to 6."""
@@ -606,3 +592,91 @@ class TestFusedEvaluation:
         loo = leave_one_out_oracle(z, order)
         assert np.array_equal(_leave_one_out(z, order), loo)
         assert np.array_equal(_leave_one_out(z, order, _esp_prefixes(z, order + 1)), loo)
+
+
+class TestLeaveTwoOut:
+    def test_downdating_matches_direct_recomputation(self):
+        # padded worths of events of 2-12 items, the largest 1 as the engine
+        # shifts them, the rest spread over 1e-150..1 (below 1e-3 in every
+        # other event, under one dominant entry).  With z <= 1 the normalizer
+        # is at least 1, so an error in an ESP T moves a pair's chance of
+        # joint choice, delta_k z_a z_b T / normalizer, by at most delta_k times it
+        rng = np.random.default_rng(5)
+        widths = rng.integers(2, 13, 60)
+        z = np.zeros((12, widths.size))
+        for e, m in enumerate(widths):
+            z[:m, e] = 10.0 ** rng.uniform(-150, 0 if e % 2 == 0 else -3, m)
+            z[rng.integers(m), e] = 1.0
+        for order in range(6):
+            loo = [_leave_one_out(z, r) for r in range(1, order + 1)]
+            for e, m in enumerate(widths):
+                for a, b in itertools.permutations(range(m), 2):
+                    got = _leave_two_out([x[a, e] for x in loo], z[b, e])
+                    want = esp_prefixes_oracle(np.delete(z[:m, e], [a, b]), order)[-1, order]
+                    assert abs(got - want) <= 1e-13
+
+
+class TestEvaluationMemo:
+    """The evaluation kept for the last theta is reused only for an exactly
+    equal theta, so every call gives the numbers of a fresh structure."""
+
+    @staticmethod
+    def _setup(seed=3):
+        rng = np.random.default_rng(seed)
+        t = random_tied_table(rng, 7, 4)
+        d = t.max_tie_order()
+        theta = random_params(rng, 7, d).theta()
+        return t, d, theta
+
+    @staticmethod
+    def _same_as_fresh(ev, fresh, theta):
+        w, obs = ev.w_total, ev.obs_total
+        assert np.array_equal(ev.expected(theta, w), fresh.expected(theta, w))
+        assert ev.loglik(theta, w, obs) == fresh.loglik(theta, w, obs)
+        assert np.array_equal(ev.information(theta, w), fresh.information(theta, w))
+
+    def test_one_ulp_away_is_evaluated_afresh(self):
+        t, d, theta = self._setup()
+        ev = EventSet(t, d)
+        ev.expected(theta, ev.w_total)
+        for k in range(theta.size):
+            near = theta.copy()
+            near[k] = np.nextafter(near[k], np.inf)
+            self._same_as_fresh(ev, EventSet(t, d), near)
+            ev.expected(theta, ev.w_total)
+
+    def test_theta_changed_in_place_is_evaluated_afresh(self):
+        t, d, theta = self._setup()
+        ev = EventSet(t, d)
+        ev.expected(theta, ev.w_total)
+        theta[1] += 0.25
+        self._same_as_fresh(ev, EventSet(t, d), theta)
+
+    def test_group_view_equals_fresh_build(self):
+        t, d, theta = self._setup()
+        groups = np.arange(t.n_rows) % 2 + 1
+        ev = EventSet(t, d, group_index=groups)
+        ev.expected(theta, ev.w_total)
+        mask = np.array([True, False])
+        fresh = EventSet(t, d, group_index=groups).for_groups(mask)
+        self._same_as_fresh(ev.for_groups(mask), fresh, theta)
+        assert np.array_equal(ev.group_scores(theta),
+                              EventSet(t, d, group_index=groups).group_scores(theta))
+
+    def test_columns_equal_one_dimensional_calls(self):
+        t, d, theta = self._setup()
+        ev = EventSet(t, d, npseudo=0.5)
+        rng = np.random.default_rng(4)
+        thetas = np.append(theta, 0.0)[:, None] + rng.normal(0, 0.5, (ev.n_params, 3))
+        weights = ev.w_total[:, None] * rng.uniform(0, 2, (ev.n_events, 3))
+        obs = np.repeat(ev.obs_total[:, None], 3, axis=1)
+        exps = ev.expected(thetas, weights)
+        lls = ev.loglik(thetas, weights, obs)
+        assert np.array_equal(ev.expected(thetas, weights), exps)
+        for c in range(3):
+            # loglik alone, then from the evaluation that expected keeps
+            col = thetas[:, c].copy(), weights[:, c].copy()
+            assert ev.loglik(*col, obs[:, c].copy()) == lls[c]
+            assert np.array_equal(ev.expected(*col), exps[:, c])
+            assert ev.loglik(*col, obs[:, c].copy()) == lls[c]
+            assert np.array_equal(ev.expected(thetas[:, [c]], weights[:, [c]])[:, 0], exps[:, c])
